@@ -28,8 +28,8 @@
 
 pub mod cli;
 
-use janus_core::comparison::ComparisonConfig;
 use janus_core::experiments::{ExperimentCtx, ToJson};
+use janus_core::registry::PolicyRegistry;
 use janus_core::session::ServingSessionBuilder;
 use janus_json::Value;
 use janus_workloads::apps::PaperApp;
@@ -171,17 +171,14 @@ impl BenchFlags {
         ExperimentCtx::new(self.scale).with_seed(self.seed)
     }
 
-    /// Comparison configuration at the parsed scale, with the seed override
-    /// applied.
-    pub fn comparison(&self, app: PaperApp, concurrency: u32) -> ComparisonConfig {
-        self.ctx().comparison(app, concurrency)
-    }
-
-    /// The equivalent [`ServingSession`](janus_core::session::ServingSession)
-    /// builder for callers that serve directly rather than through an
-    /// experiment runner.
+    /// The paired comparison of all seven built-in policies at the parsed
+    /// scale, seed override applied, as a
+    /// [`ServingSession`](janus_core::session::ServingSession) builder for
+    /// callers that serve directly rather than through an experiment runner.
     pub fn session(&self, app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
-        self.comparison(app, concurrency).session()
+        self.ctx()
+            .session(app, concurrency)
+            .policies(PolicyRegistry::with_builtins().names())
     }
 
     /// The experiment seed: the `--seed` override when given, otherwise the
@@ -277,7 +274,14 @@ mod tests {
         assert_eq!(parse(&["--paper"]).unwrap().scale, Scale::Paper);
         let flags = parse(&["--quick", "--seed", "99"]).unwrap();
         assert_eq!(flags.seed, Some(99));
-        assert_eq!(flags.comparison(PaperApp::IntelligentAssistant, 1).seed, 99);
+        let report = flags
+            .ctx()
+            .session(PaperApp::IntelligentAssistant, 1)
+            .policy("GrandSLAM")
+            .load(Load::Closed { requests: 2 })
+            .run()
+            .unwrap();
+        assert_eq!(report.seed, 99);
         assert_eq!(flags.ctx().seed_or(1), 99);
         assert_eq!(flags.ctx().scale, Scale::Quick);
     }
@@ -345,7 +349,7 @@ mod tests {
     #[test]
     fn flags_produce_a_runnable_session_builder() {
         let flags = parse(&["--quick", "--seed", "5"]).unwrap();
-        // The builder inherits the comparison config's seven paper policies;
+        // The builder carries the seven paper policies;
         // appending one of them again is rejected as a duplicate.
         let err = flags
             .session(PaperApp::IntelligentAssistant, 1)

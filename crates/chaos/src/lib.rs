@@ -4,9 +4,8 @@
 //!
 //! Every run so far assumed perfectly reliable hardware; production serving
 //! is defined by how it degrades when it isn't. This crate adds failure
-//! modes as a first-class, registry-driven axis — the same open-registry
-//! shape `janus-core`'s `PolicyRegistry`, `janus-scenarios`'
-//! `ScenarioRegistry` and `janus-platform`'s capacity registries use — so
+//! modes as a first-class, registry-driven axis — a kind of the generic
+//! `janus_simcore` [`Registry`], like every other named plug-in — so
 //! sweeps and sessions resolve faults by name and downstream code can
 //! register its own.
 //!
@@ -34,6 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use janus_simcore::registry::{BuildKind, Registry, RegistryKind};
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::{SimDuration, SimTime};
 use std::fmt;
@@ -190,112 +190,45 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, String>;
 }
 
-/// An ordered, open registry of named fault injectors, mirroring the
-/// policy/scenario/capacity registries: registration order is preserved (it
-/// drives sweep ordering), re-registering a name replaces the earlier entry
-/// in place, and unknown names fail with the registered names listed.
-#[derive(Clone, Default)]
-pub struct FaultRegistry {
-    injectors: Vec<Arc<dyn FaultInjector>>,
-}
+/// The fault kind of the generic [`Registry`]: entries are
+/// [`FaultInjector`]s, compiled from a [`FaultContext`] into a time-sorted
+/// [`FaultSchedule`].
+pub struct Faults;
 
-impl fmt::Debug for FaultRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
+/// An ordered, open registry of named fault injectors (see `DESIGN.md`
+/// "Registries"): registration order drives sweep ordering, re-registering a
+/// name replaces the earlier entry in place, and unknown names fail with the
+/// registered names listed.
+pub type FaultRegistry = Registry<Faults>;
 
-impl FaultRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+impl RegistryKind for Faults {
+    type Entry = dyn FaultInjector;
+    const KIND: &'static str = "fault injector";
+
+    fn name(injector: &dyn FaultInjector) -> &str {
+        injector.name()
     }
 
-    /// A registry pre-loaded with the built-in injectors, in severity order:
-    /// `node-crash`, `spot-preempt`, `zone-outage`, `slow-node`.
-    pub fn with_builtins() -> Self {
-        let mut registry = FaultRegistry::new();
+    /// The built-in injectors, in severity order: `node-crash`,
+    /// `spot-preempt`, `zone-outage`, `slow-node`.
+    fn builtins(registry: &mut FaultRegistry) {
         registry.register(Arc::new(NodeCrashInjector));
         registry.register(Arc::new(SpotPreemptInjector));
         registry.register(Arc::new(ZoneOutageInjector));
         registry.register(Arc::new(SlowNodeInjector));
-        registry
+    }
+}
+
+impl BuildKind for Faults {
+    type Ctx<'a> = FaultContext;
+    type Output = FaultSchedule;
+
+    fn validate(ctx: &FaultContext) -> Result<(), String> {
+        ctx.validate()
     }
 
-    /// Register an injector. Replaces any earlier injector with the same
-    /// name (keeping its position), otherwise appends.
-    pub fn register(&mut self, injector: Arc<dyn FaultInjector>) -> &mut Self {
-        match self
-            .injectors
-            .iter()
-            .position(|i| i.name() == injector.name())
-        {
-            Some(i) => self.injectors[i] = injector,
-            None => self.injectors.push(injector),
-        }
-        self
-    }
-
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, schedule: F) -> &mut Self
-    where
-        F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync + 'static,
-    {
-        struct FnInjector<F> {
-            name: String,
-            schedule: F,
-        }
-        impl<F> fmt::Debug for FnInjector<F> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct("FnInjector")
-                    .field("name", &self.name)
-                    .finish()
-            }
-        }
-        impl<F> FaultInjector for FnInjector<F>
-        where
-            F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync,
-        {
-            fn name(&self) -> &str {
-                &self.name
-            }
-            fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, String> {
-                (self.schedule)(ctx)
-            }
-        }
-        self.register(Arc::new(FnInjector {
-            name: name.into(),
-            schedule,
-        }))
-    }
-
-    /// Look an injector up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn FaultInjector>> {
-        self.injectors.iter().find(|i| i.name() == name).cloned()
-    }
-
-    /// Check that `name` is registered, with an informative error listing
-    /// the known names otherwise.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(format!(
-                "unknown fault injector `{}`; registered: {}",
-                name,
-                self.names().join(", ")
-            ))
-        }
-    }
-
-    /// Compile the named injector's schedule, with informative errors for
-    /// unknown names or invalid contexts.
-    pub fn build(&self, name: &str, ctx: &FaultContext) -> Result<FaultSchedule, String> {
-        ctx.validate()?;
-        self.ensure_known(name)?;
-        let injector = self.get(name).expect("checked by ensure_known");
+    /// Compile the injector's schedule, sorted by firing time.
+    fn build(injector: &dyn FaultInjector, ctx: &FaultContext) -> Result<FaultSchedule, String> {
         let mut schedule = injector.schedule(ctx)?;
         schedule
             .events
@@ -303,19 +236,37 @@ impl FaultRegistry {
         Ok(schedule)
     }
 
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.injectors.iter().map(|i| i.name()).collect()
+    fn from_fn<F>(name: String, schedule: F) -> Arc<dyn FaultInjector>
+    where
+        F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync + 'static,
+    {
+        Arc::new(FnInjector { name, schedule })
+    }
+}
+
+struct FnInjector<F> {
+    name: String,
+    schedule: F,
+}
+
+impl<F> fmt::Debug for FnInjector<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FnInjector")
+            .field("name", &self.name)
+            .finish()
+    }
+}
+
+impl<F> FaultInjector for FnInjector<F>
+where
+    F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Number of registered injectors.
-    pub fn len(&self) -> usize {
-        self.injectors.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.injectors.is_empty()
+    fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, String> {
+        (self.schedule)(ctx)
     }
 }
 

@@ -3,13 +3,13 @@
 //!
 //! Policies, scenarios, autoscalers and admission controllers already sit
 //! behind open registries; this module gives the *experiment* layer the same
-//! shape. An experiment is anything that can turn an [`ExperimentCtx`] (the
-//! scale and seed knobs every runner shares) into an [`ExperimentOutput`] —
-//! a bundle of result structs that are simultaneously human-readable
-//! (`Display`) and machine-readable ([`ToJson`]). The paper's figures and
-//! tables, the scenario/capacity sweeps and the perf trajectory are
-//! pre-registered built-ins; downstream crates register their own with
-//! [`ExperimentRegistry::register`] (or the closure shorthand
+//! generic [`Registry`]. An experiment is anything that can turn an
+//! [`ExperimentCtx`] (the scale and seed knobs every runner shares) into an
+//! [`ExperimentOutput`] — a bundle of result structs that are simultaneously
+//! human-readable (`Display`) and machine-readable ([`ToJson`]). The paper's
+//! figures and tables, the scenario/capacity sweeps and the perf trajectory
+//! are pre-registered built-ins; downstream crates register their own with
+//! [`Registry::register`] (or the closure shorthand
 //! [`ExperimentRegistry::register_fn`]) and run them through the same
 //! `janus` CLI without touching any `janus-*` crate.
 //!
@@ -25,11 +25,13 @@
 //! assert!(output.to_json().get("experiment").is_some());
 //! ```
 
-use crate::comparison::ComparisonConfig;
 use crate::experiments::{CapacitySweepConfig, PerfConfig, ScenarioSweepConfig, ToJson};
+use crate::session::{Load, ServingSession, ServingSessionBuilder};
 use janus_json::Value;
+use janus_simcore::registry::{Registry, RegistryKind};
 use janus_workloads::apps::PaperApp;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
 
 /// Shared experiment scale. Every runner interprets it the same way: `Paper`
@@ -50,24 +52,6 @@ impl Scale {
         match self {
             Scale::Paper => "paper",
             Scale::Quick => "quick",
-        }
-    }
-
-    /// Comparison configuration for an application at this scale.
-    pub fn comparison(self, app: PaperApp, concurrency: u32) -> ComparisonConfig {
-        match self {
-            Scale::Paper => ComparisonConfig {
-                requests: 1000,
-                samples_per_point: 1000,
-                budget_step_ms: 1.0,
-                ..ComparisonConfig::paper_default(app, concurrency)
-            },
-            Scale::Quick => ComparisonConfig {
-                requests: 200,
-                samples_per_point: 300,
-                budget_step_ms: 5.0,
-                ..ComparisonConfig::paper_default(app, concurrency)
-            },
         }
     }
 
@@ -256,13 +240,25 @@ impl ExperimentCtx {
         self.seed.unwrap_or(default)
     }
 
-    /// Comparison configuration at this scale, seed override applied.
-    pub fn comparison(&self, app: PaperApp, concurrency: u32) -> ComparisonConfig {
-        let mut config = self.scale.comparison(app, concurrency);
-        if let Some(seed) = self.seed {
-            config.seed = seed;
+    /// The paired-comparison session of the overall figures at this scale,
+    /// seed override applied: `app` at `concurrency` under its paper SLO, in
+    /// closed loop (1000 requests, 1000 profile samples, 1 ms budget step at
+    /// paper scale; 200, 300 and 5 ms quick). Callers add the policies.
+    pub fn session(&self, app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
+        let (requests, samples_per_point, budget_step_ms) = match self.scale {
+            Scale::Paper => (1000, 1000, 1.0),
+            Scale::Quick => (200, 300, 5.0),
+        };
+        let session = ServingSession::builder()
+            .app(app)
+            .concurrency(concurrency)
+            .load(Load::Closed { requests })
+            .samples_per_point(samples_per_point)
+            .budget_step_ms(budget_step_ms);
+        match self.seed {
+            Some(seed) => session.seed(seed),
+            None => session,
         }
-        config
     }
 
     /// Scenario-sweep configuration at this scale, seed override applied.
@@ -403,28 +399,23 @@ pub trait Experiment: Send + Sync {
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String>;
 }
 
-/// The open experiment registry, mirroring
-/// [`PolicyRegistry`](crate::registry::PolicyRegistry): ordered, open for
-/// registration, resolved by name with informative unknown-name errors.
-#[derive(Clone, Default)]
-pub struct ExperimentRegistry {
-    experiments: Vec<Arc<dyn Experiment>>,
-}
+/// The experiment kind of the generic [`Registry`].
+pub struct Experiments;
 
-impl ExperimentRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+impl RegistryKind for Experiments {
+    type Entry = dyn Experiment;
+    const KIND: &'static str = "experiment";
+
+    fn name(experiment: &dyn Experiment) -> &str {
+        experiment.name()
     }
 
-    /// A registry pre-loaded with every experiment of the evaluation, in
-    /// paper order: the motivation figures, the overall comparison
-    /// tables/figures, the synthesis studies, the scenario/capacity sweeps
-    /// and the perf trajectory.
-    pub fn with_builtins() -> Self {
+    /// Every experiment of the evaluation, in paper order: the motivation
+    /// figures, the overall comparison tables/figures, the synthesis
+    /// studies, the scenario/capacity sweeps and the perf trajectory.
+    fn builtins(registry: &mut Registry<Self>) {
         use crate::experiments::{capacity_sweep, chaos_resilience, flash_scale, metrics};
         use crate::experiments::{motivation, overall, perf, scenario_sweep, slo_sweep, synthesis};
-        let mut registry = ExperimentRegistry::new();
         registry.register(Arc::new(motivation::Fig1aExperiment));
         registry.register(Arc::new(motivation::Fig1bExperiment));
         registry.register(Arc::new(motivation::Fig1cExperiment));
@@ -443,24 +434,43 @@ impl ExperimentRegistry {
         registry.register(Arc::new(chaos_resilience::ChaosResilienceExperiment));
         registry.register(Arc::new(perf::PerfExperiment));
         registry.register(Arc::new(flash_scale::FlashScaleExperiment));
-        registry
+    }
+}
+
+/// The open experiment registry: the generic [`Registry`] (which it
+/// dereferences to for `register`, `get`, `names`, …) plus the
+/// descriptions `janus list` shows and the `run` adapter. Ordered, open for
+/// registration, resolved by name with informative unknown-name errors.
+#[derive(Clone, Debug, Default)]
+pub struct ExperimentRegistry(Registry<Experiments>);
+
+impl Deref for ExperimentRegistry {
+    type Target = Registry<Experiments>;
+
+    fn deref(&self) -> &Registry<Experiments> {
+        &self.0
+    }
+}
+
+impl DerefMut for ExperimentRegistry {
+    fn deref_mut(&mut self) -> &mut Registry<Experiments> {
+        &mut self.0
+    }
+}
+
+impl ExperimentRegistry {
+    /// An empty registry (no built-ins).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Register an experiment. Replaces any earlier experiment with the same
-    /// name (keeping its position), otherwise appends.
-    pub fn register(&mut self, experiment: Arc<dyn Experiment>) -> &mut Self {
-        match self
-            .experiments
-            .iter()
-            .position(|e| e.name() == experiment.name())
-        {
-            Some(i) => self.experiments[i] = experiment,
-            None => self.experiments.push(experiment),
-        }
-        self
+    /// A registry pre-loaded with every experiment of the evaluation, in
+    /// paper order.
+    pub fn with_builtins() -> Self {
+        ExperimentRegistry(Registry::with_builtins())
     }
 
-    /// Closure shorthand for [`register`](Self::register).
+    /// Closure shorthand for `register`.
     pub fn register_fn<F>(
         &mut self,
         name: impl Into<String>,
@@ -474,66 +484,20 @@ impl ExperimentRegistry {
             name: name.into(),
             describe: describe.into(),
             run,
-        }))
-    }
-
-    /// Look an experiment up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn Experiment>> {
-        self.experiments.iter().find(|e| e.name() == name).cloned()
-    }
-
-    /// Error early (with the registered names) if `name` is unknown.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(self.unknown(name))
-        }
+        }));
+        self
     }
 
     /// Run the named experiment, with an informative error for unknown
     /// names.
     pub fn run(&self, name: &str, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        self.get(name).ok_or_else(|| self.unknown(name))?.run(ctx)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.experiments.iter().map(|e| e.name()).collect()
+        self.resolve(name)?.run(ctx)
     }
 
     /// `(name, description)` pairs, in registration order — the `janus list`
     /// view.
     pub fn catalog(&self) -> Vec<(&str, &str)> {
-        self.experiments
-            .iter()
-            .map(|e| (e.name(), e.describe()))
-            .collect()
-    }
-
-    /// Number of registered experiments.
-    pub fn len(&self) -> usize {
-        self.experiments.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.experiments.is_empty()
-    }
-
-    fn unknown(&self, name: &str) -> String {
-        format!(
-            "unknown experiment `{name}`; registered experiments: {}",
-            self.names().join(", ")
-        )
-    }
-}
-
-impl fmt::Debug for ExperimentRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExperimentRegistry")
-            .field("experiments", &self.names())
-            .finish()
+        self.iter().map(|e| (e.name(), e.describe())).collect()
     }
 }
 
@@ -655,7 +619,13 @@ mod tests {
     fn ctx_applies_the_seed_override_everywhere() {
         let ctx = ExperimentCtx::new(Scale::Quick).with_seed(Some(99));
         assert_eq!(ctx.seed_or(5), 99);
-        assert_eq!(ctx.comparison(PaperApp::IntelligentAssistant, 1).seed, 99);
+        let report = ctx
+            .session(PaperApp::IntelligentAssistant, 1)
+            .policy("GrandSLAM")
+            .load(Load::Closed { requests: 2 })
+            .run()
+            .unwrap();
+        assert_eq!(report.seed, 99);
         assert_eq!(ctx.scenario_sweep(PaperApp::IntelligentAssistant).seed, 99);
         assert_eq!(ctx.capacity_sweep(PaperApp::IntelligentAssistant).seed, 99);
         assert_eq!(ctx.perf_config().seed, 99);

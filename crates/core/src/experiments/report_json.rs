@@ -144,30 +144,29 @@ impl ToJson for Fig2Result {
 
 impl ToJson for OverallResult {
     fn to_json(&self) -> Value {
-        let cfg = &self.outcome.config;
-        let policies = cfg
+        let report = &self.report;
+        let policies = report
             .policies
             .iter()
-            .zip(&self.outcome.reports)
-            .map(|(kind, report)| {
+            .map(|p| {
                 obj(vec![
-                    ("name", text(kind.name())),
-                    ("mean_cpu_millicores", num(report.mean_cpu_millicores())),
+                    ("name", text(&p.name)),
+                    ("mean_cpu_millicores", num(p.serving.mean_cpu_millicores())),
                     (
                         "normalized_cpu",
-                        self.outcome
-                            .normalized_cpu(*kind)
+                        report
+                            .normalized_cpu(&p.name, "Optimal")
                             .map(num)
                             .unwrap_or(Value::Null),
                     ),
                     (
                         "p99_e2e_s",
-                        report
+                        p.serving
                             .e2e_percentile(99.0)
                             .map(|d| num(d.as_secs()))
                             .unwrap_or(Value::Null),
                     ),
-                    ("slo_violation_rate", num(report.slo_violation_rate())),
+                    ("slo_violation_rate", num(p.serving.slo_violation_rate())),
                 ])
             })
             .collect();
@@ -184,9 +183,9 @@ impl ToJson for OverallResult {
         obj(vec![
             ("experiment", text("overall")),
             ("app", text(self.app_name())),
-            ("concurrency", count(cfg.concurrency as usize)),
-            ("slo_s", num(cfg.slo.as_secs())),
-            ("requests", count(cfg.requests)),
+            ("concurrency", count(report.concurrency as usize)),
+            ("slo_s", num(report.slo.as_secs())),
+            ("requests", count(report.load.requests())),
             ("policies", Value::Arr(policies)),
             ("table1", Value::Arr(table1)),
         ])

@@ -1,6 +1,6 @@
 //! Figure 9: resource consumption (normalised by Optimal) across SLOs (§V-G).
 
-use crate::comparison::{self, ComparisonConfig, PolicyKind};
+use crate::session::ServingSessionBuilder;
 use janus_simcore::time::SimDuration;
 use janus_workloads::apps::PaperApp;
 use serde::{Deserialize, Serialize};
@@ -19,32 +19,32 @@ pub struct Fig9Result {
 
 /// Run the SLO sweep for one application: IA over 3–7 s, VA over 1.5–2.0 s in
 /// the paper; the SLO list is a parameter so tests can use fewer points.
+/// `base` sets the scale; the app, SLO and policies are set per point.
 pub fn fig9_slo_sweep(
     app: PaperApp,
     slos_s: &[f64],
-    base: &ComparisonConfig,
+    base: &ServingSessionBuilder,
 ) -> Result<Fig9Result, String> {
-    let policies = [PolicyKind::Orion, PolicyKind::GrandSlam, PolicyKind::Janus];
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
+    let series = ["ORION", "GrandSLAM", "Janus"];
+    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); series.len()];
     for &slo in slos_s {
-        let config = ComparisonConfig {
-            app,
-            slo: SimDuration::from_secs(slo),
-            policies: PolicyKind::SLO_SWEEP.to_vec(),
-            ..base.clone()
-        };
-        let outcome = comparison::run(&config)?;
-        for (i, &p) in policies.iter().enumerate() {
-            per_policy[i].push(outcome.normalized_cpu(p).unwrap_or(f64::NAN));
+        let report = base
+            .clone()
+            .app(app)
+            .slo(SimDuration::from_secs(slo))
+            .policies(["Optimal", "ORION", "GrandSLAM", "Janus"])
+            .run()?;
+        for (values, name) in per_policy.iter_mut().zip(series) {
+            values.push(report.normalized_cpu(name, "Optimal").unwrap_or(f64::NAN));
         }
     }
     Ok(Fig9Result {
         app: app.short_name().to_string(),
         slos_s: slos_s.to_vec(),
-        series: policies
-            .iter()
+        series: series
+            .into_iter()
+            .map(String::from)
             .zip(per_policy)
-            .map(|(p, v)| (p.name().to_string(), v))
             .collect(),
     })
 }
@@ -110,7 +110,7 @@ impl Experiment for Fig9Experiment {
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
         let mut out = ExperimentOutput::new();
         for app in PaperApp::ALL {
-            let result = fig9_slo_sweep(app, fig9_slos(app, ctx.scale), &ctx.comparison(app, 1))
+            let result = fig9_slo_sweep(app, fig9_slos(app, ctx.scale), &ctx.session(app, 1))
                 .map_err(|e| format!("{}: {e}", app.short_name()))?;
             out.push(app.short_name(), result);
         }
@@ -126,12 +126,10 @@ mod tests {
     fn janus_beats_the_early_binders_across_slos() {
         // 120 requests is noise-dominated (ORION can "beat" the oracle on a
         // lucky draw); 300 keeps the run fast while the ordering is stable.
-        let base = ComparisonConfig {
-            requests: 300,
-            samples_per_point: 300,
-            budget_step_ms: 2.0,
-            ..ComparisonConfig::paper_default(PaperApp::IntelligentAssistant, 1)
-        };
+        let base = crate::session::ServingSession::builder()
+            .load(crate::session::Load::Closed { requests: 300 })
+            .samples_per_point(300)
+            .budget_step_ms(2.0);
         let result = fig9_slo_sweep(PaperApp::IntelligentAssistant, &[3.0, 3.5], &base).unwrap();
         assert_eq!(result.slos_s, vec![3.0, 3.5]);
         assert_eq!(result.series.len(), 3);

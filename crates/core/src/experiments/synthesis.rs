@@ -1,8 +1,8 @@
 //! Synthesizer-centric experiments: Figures 6 and 8, Table II and the system
 //! overhead report (§V-C, §V-E, §V-F, §V-H).
 
-use crate::comparison::{self, ComparisonConfig, PolicyKind};
 use crate::deployment::{DeploymentConfig, JanusDeployment};
+use crate::session::{PolicyReport, ServingSessionBuilder};
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_simcore::time::SimDuration;
 use janus_synthesizer::synthesizer::{Synthesizer, SynthesizerConfig};
@@ -51,10 +51,11 @@ impl Fig6Result {
 }
 
 /// Run Figure 6 for IA: serve under Janus and Janus⁺ at each SLO and record
-/// the synthesis time of each hints bundle.
+/// the synthesis time of each hints bundle. `base` sets the scale; the SLO
+/// and the two policies are added per point.
 pub fn fig6_exploration_cost(
     slos_s: &[f64],
-    base: &ComparisonConfig,
+    base: &ServingSessionBuilder,
 ) -> Result<Fig6Result, String> {
     let mut result = Fig6Result {
         slos_s: slos_s.to_vec(),
@@ -64,34 +65,25 @@ pub fn fig6_exploration_cost(
         janus_plus_time_s: Vec::new(),
     };
     for &slo in slos_s {
-        let config = ComparisonConfig {
-            slo: SimDuration::from_secs(slo),
-            policies: vec![PolicyKind::Janus, PolicyKind::JanusPlus],
-            ..base.clone()
+        let report = base
+            .clone()
+            .slo(SimDuration::from_secs(slo))
+            .policies(["Janus", "Janus+"])
+            .run()?;
+        let (Some(janus), Some(plus)) = (report.report("Janus"), report.report("Janus+")) else {
+            return Err("the Figure 6 session lacks Janus or Janus+".into());
         };
-        let outcome = comparison::run(&config)?;
-        result.janus_cpu.push(
-            outcome
-                .report(PolicyKind::Janus)
-                .expect("janus in run")
-                .mean_cpu_millicores(),
-        );
-        result.janus_plus_cpu.push(
-            outcome
-                .report(PolicyKind::JanusPlus)
-                .expect("janus+ in run")
-                .mean_cpu_millicores(),
-        );
-        let time_of = |variant: &str| {
-            outcome
-                .synthesis
-                .iter()
-                .find(|s| s.variant == variant)
-                .map(|s| s.synthesis_time_ms / 1000.0)
-                .unwrap_or(0.0)
+        let synthesis_s = |p: &PolicyReport| {
+            p.synthesis
+                .as_ref()
+                .map_or(0.0, |s| s.synthesis_time_ms / 1000.0)
         };
-        result.janus_time_s.push(time_of("Janus"));
-        result.janus_plus_time_s.push(time_of("Janus+"));
+        result.janus_cpu.push(janus.serving.mean_cpu_millicores());
+        result
+            .janus_plus_cpu
+            .push(plus.serving.mean_cpu_millicores());
+        result.janus_time_s.push(synthesis_s(janus));
+        result.janus_plus_time_s.push(synthesis_s(plus));
     }
     Ok(result)
 }
@@ -373,7 +365,7 @@ impl Experiment for Fig6Experiment {
             Scale::Paper => &[3.0, 4.0, 5.0, 6.0, 7.0],
             Scale::Quick => &[3.0, 5.0, 7.0],
         };
-        let base = ctx.comparison(PaperApp::IntelligentAssistant, 1);
+        let base = ctx.session(PaperApp::IntelligentAssistant, 1);
         Ok(ExperimentOutput::single(fig6_exploration_cost(
             slos, &base,
         )?))
@@ -504,12 +496,11 @@ mod tests {
 
     #[test]
     fn fig6_janus_plus_gains_little_but_costs_much_more_time() {
-        let base = ComparisonConfig {
-            requests: 100,
-            samples_per_point: 250,
-            budget_step_ms: 10.0,
-            ..ComparisonConfig::paper_default(PaperApp::IntelligentAssistant, 1)
-        };
+        let base = crate::session::ServingSession::builder()
+            .app(PaperApp::IntelligentAssistant)
+            .load(crate::session::Load::Closed { requests: 100 })
+            .samples_per_point(250)
+            .budget_step_ms(10.0);
         let r = fig6_exploration_cost(&[3.0, 5.0], &base).unwrap();
         assert_eq!(r.slos_s.len(), 2);
         // Janus+ never uses more CPU than Janus (larger search space)…

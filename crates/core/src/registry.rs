@@ -10,15 +10,16 @@
 //! own policies with [`PolicyRegistry::register`] (or the closure shorthand
 //! [`PolicyRegistry::register_fn`]) without touching any `janus-*` crate.
 //!
-//! The legacy closed `PolicyKind` enum in [`crate::comparison`] is now a thin
-//! shim that resolves through this registry — see `DESIGN.md` for the
-//! migration guide.
+//! The registry is the workspace's one generic [`Registry`] (see `DESIGN.md`
+//! "Registries"); this module adds the policy kind: its factories, its
+//! built-ins and its build adapter.
 
 use janus_baselines::early::{grandslam, grandslam_plus, orion, OrionConfig};
 use janus_baselines::oracle::OptimalOracle;
 use janus_platform::policy::SizingPolicy;
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::interference::InterferenceModel;
+use janus_simcore::registry::{BuildKind, Registry, RegistryKind};
 use janus_simcore::resources::CoreGrid;
 use janus_simcore::time::SimDuration;
 use janus_synthesizer::synthesizer::{
@@ -128,34 +129,29 @@ pub trait PolicyFactory: Send + Sync {
     fn build(&self, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String>;
 }
 
+/// The policy kind of the generic [`Registry`]: entries are
+/// [`PolicyFactory`]s, built from a [`PolicyContext`] into a
+/// [`BuiltPolicy`].
+pub struct Policies;
+
 /// An ordered, open registry of [`PolicyFactory`]s.
 ///
 /// Registration order is preserved (it drives default report ordering);
 /// registering a factory under an existing name replaces the earlier entry,
 /// so sessions can override a built-in without forking the registry.
-#[derive(Clone, Default)]
-pub struct PolicyRegistry {
-    factories: Vec<Arc<dyn PolicyFactory>>,
-}
+pub type PolicyRegistry = Registry<Policies>;
 
-impl fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("policies", &self.names())
-            .finish()
-    }
-}
+impl RegistryKind for Policies {
+    type Entry = dyn PolicyFactory;
+    const KIND: &'static str = "policy";
 
-impl PolicyRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+    fn name(factory: &dyn PolicyFactory) -> &str {
+        factory.name()
     }
 
-    /// A registry pre-loaded with the paper's seven policies, in Table I
-    /// order: Optimal, ORION, GrandSLAM+, GrandSLAM, Janus-, Janus, Janus+.
-    pub fn with_builtins() -> Self {
-        let mut registry = PolicyRegistry::new();
+    /// The paper's seven policies, in Table I order: Optimal, ORION,
+    /// GrandSLAM+, GrandSLAM, Janus-, Janus, Janus+.
+    fn builtins(registry: &mut PolicyRegistry) {
         registry.register(Arc::new(OptimalFactory));
         registry.register(Arc::new(OrionFactory::default()));
         registry.register(Arc::new(GrandSlamFactory { per_function: true }));
@@ -165,65 +161,22 @@ impl PolicyRegistry {
         registry.register(Arc::new(JanusFactory::new(ExplorationDepth::None)));
         registry.register(Arc::new(JanusFactory::new(ExplorationDepth::HeadOnly)));
         registry.register(Arc::new(JanusFactory::new(ExplorationDepth::HeadAndNext)));
-        registry
+    }
+}
+
+impl BuildKind for Policies {
+    type Ctx<'a> = PolicyContext<'a>;
+    type Output = BuiltPolicy;
+
+    fn build(factory: &dyn PolicyFactory, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String> {
+        factory.build(ctx)
     }
 
-    /// Register a factory. Replaces any earlier factory with the same name
-    /// (keeping its position), otherwise appends.
-    pub fn register(&mut self, factory: Arc<dyn PolicyFactory>) -> &mut Self {
-        match self
-            .factories
-            .iter()
-            .position(|f| f.name() == factory.name())
-        {
-            Some(i) => self.factories[i] = factory,
-            None => self.factories.push(factory),
-        }
-        self
-    }
-
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
+    fn from_fn<F>(name: String, build: F) -> Arc<dyn PolicyFactory>
     where
         F: Fn(&PolicyContext<'_>) -> Result<BuiltPolicy, String> + Send + Sync + 'static,
     {
-        self.register(Arc::new(FnFactory {
-            name: name.into(),
-            build,
-        }))
-    }
-
-    /// Look a factory up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn PolicyFactory>> {
-        self.factories.iter().find(|f| f.name() == name).cloned()
-    }
-
-    /// Instantiate the named policy, with an informative error for unknown
-    /// names.
-    pub fn build(&self, name: &str, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String> {
-        let factory = self.get(name).ok_or_else(|| {
-            format!(
-                "unknown policy `{name}`; registered policies: {}",
-                self.names().join(", ")
-            )
-        })?;
-        let built = factory.build(ctx)?;
-        Ok(built)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.iter().map(|f| f.name()).collect()
-    }
-
-    /// Number of registered factories.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
+        Arc::new(FnFactory { name, build })
     }
 }
 

@@ -1,11 +1,10 @@
 //! One entry point for serving: the [`ServingSession`] builder.
 //!
-//! Before this module, running a policy against a workload meant choosing
-//! between three incompatible surfaces: `ComparisonConfig` + `comparison::run`
-//! for paired comparisons, a hand-wired
-//! [`ClosedLoopExecutor`], or a
-//! hand-wired [`OpenLoopSimulation`]
-//! for Poisson arrivals. A session unifies them:
+//! A session is the one way to serve: it profiles a workflow, builds every
+//! named policy, and replays one request set under each of them, in closed
+//! loop (a [`ClosedLoopExecutor`]) or open loop (an
+//! [`OpenLoopSimulation`]). Paired comparisons, the paper's evaluation
+//! methodology, are sessions with several policies:
 //!
 //! ```
 //! use janus_core::session::{Load, ServingSession};
@@ -1094,6 +1093,13 @@ impl SessionReport {
     pub fn normalized_cpu(&self, name: &str, baseline: &str) -> Option<f64> {
         let base = self.serving(baseline)?;
         Some(self.serving(name)?.cpu_normalized_by(base))
+    }
+
+    /// Resource reduction of `name` versus `other`, normalised by
+    /// `baseline`, in percent (the Table I presentation of §V).
+    pub fn reduction_percent(&self, name: &str, other: &str, baseline: &str) -> Option<f64> {
+        let base = self.serving(baseline)?;
+        Some(self.serving(name)?.reduction_vs(self.serving(other)?, base) * 100.0)
     }
 
     /// Structural invariants every well-formed report satisfies; `run`

@@ -6,8 +6,8 @@
 //! enforces them syntactically: a hand-rolled Rust lexer (no external
 //! dependencies, in the spirit of `janus-json`), a per-file source model
 //! (test regions, inline directives, item spans), and an ordered open
-//! [`LintRegistry`] of rules mirroring the Policy/Scenario/Fault/Observer
-//! registries.
+//! [`LintRegistry`] of rules, built on the generic `janus_simcore`
+//! registry every named plug-in kind uses.
 //!
 //! Built-in rules:
 //!

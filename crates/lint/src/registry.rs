@@ -1,11 +1,11 @@
-//! The open lint-rule registry: the same ordered, name-keyed, in-place
-//! replaceable shape as `PolicyRegistry` / `ScenarioRegistry` /
-//! `FaultRegistry` / `ObserverRegistry`, so downstream crates add or
-//! override rules without touching `janus-lint`.
+//! The open lint-rule registry: a kind of the generic `janus_simcore`
+//! [`Registry`], like every other named plug-in, so downstream crates add
+//! or override rules without touching `janus-lint`.
 
 use crate::rules::{self, Diagnostic, LintConfig};
 use crate::SourceFile;
-use std::fmt;
+use janus_simcore::registry::{Registry, RegistryKind};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// An object-safe lint rule: a named single-pass check over one file.
@@ -19,38 +19,19 @@ pub trait LintRule: Send + Sync {
     fn check(&self, file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>);
 }
 
-/// Ordered, open registry of lint rules.
-///
-/// Order is respected everywhere rules are enumerated (`janus list`,
-/// diagnostics of one line), and [`register`](Self::register) replaces an
-/// existing rule *in place* so overriding a built-in keeps its position.
-pub struct LintRegistry {
-    rules: Vec<Arc<dyn LintRule>>,
-}
+/// The lint-rule kind of the generic [`Registry`].
+pub struct Rules;
 
-impl fmt::Debug for LintRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LintRegistry")
-            .field("rules", &self.names())
-            .finish()
-    }
-}
+impl RegistryKind for Rules {
+    type Entry = dyn LintRule;
+    const KIND: &'static str = "lint rule";
 
-impl Default for LintRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
-impl LintRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        LintRegistry { rules: Vec::new() }
+    fn name(rule: &dyn LintRule) -> &str {
+        rule.name()
     }
 
     /// The five built-in rules, in reporting order.
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::new();
+    fn builtins(registry: &mut Registry<Self>) {
         let builtin =
             |name: &'static str,
              describe: &'static str,
@@ -86,16 +67,48 @@ impl LintRegistry {
             "observer records constructed only through emit!",
             rules::emit_discipline,
         ));
-        registry
+    }
+}
+
+/// Ordered, open registry of lint rules: the generic [`Registry`] (which it
+/// dereferences to for `register`, `get`, `names`, …) plus the rule
+/// descriptions and the per-file driver.
+///
+/// Order is respected everywhere rules are enumerated (`janus list`,
+/// diagnostics of one line), and `register` replaces an existing rule *in
+/// place* so overriding a built-in keeps its position.
+#[derive(Clone, Debug)]
+pub struct LintRegistry(Registry<Rules>);
+
+impl Default for LintRegistry {
+    fn default() -> Self {
+        Self::with_builtins()
+    }
+}
+
+impl Deref for LintRegistry {
+    type Target = Registry<Rules>;
+
+    fn deref(&self) -> &Registry<Rules> {
+        &self.0
+    }
+}
+
+impl DerefMut for LintRegistry {
+    fn deref_mut(&mut self) -> &mut Registry<Rules> {
+        &mut self.0
+    }
+}
+
+impl LintRegistry {
+    /// An empty registry.
+    pub fn new() -> Self {
+        LintRegistry(Registry::new())
     }
 
-    /// Register a rule. A rule with the same name is replaced *in place*
-    /// (keeping its reporting position); a new name appends.
-    pub fn register(&mut self, rule: Arc<dyn LintRule>) {
-        match self.rules.iter_mut().find(|r| r.name() == rule.name()) {
-            Some(slot) => *slot = rule,
-            None => self.rules.push(rule),
-        }
+    /// The five built-in rules, in reporting order.
+    pub fn with_builtins() -> Self {
+        LintRegistry(Registry::with_builtins())
     }
 
     /// Register a closure-based rule.
@@ -110,53 +123,18 @@ impl LintRegistry {
         }));
     }
 
-    /// Look up a rule by name.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn LintRule>> {
-        self.rules.iter().find(|r| r.name() == name)
-    }
-
-    /// Error unless `name` is registered; the message lists what is.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(format!(
-                "unknown lint rule `{name}`; registered: {}",
-                self.names().join(", ")
-            ))
-        }
-    }
-
-    /// Registered rule names, in order.
-    pub fn names(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.name()).collect()
-    }
-
     /// `(name, description)` pairs, in order.
     pub fn catalog(&self) -> Vec<(&str, &str)> {
-        self.rules
-            .iter()
-            .map(|r| (r.name(), r.describe()))
-            .collect()
+        self.iter().map(|r| (r.name(), r.describe())).collect()
     }
 
     /// Run every rule over one file, in registry order.
     pub fn check_file(&self, file: &SourceFile, config: &LintConfig) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for rule in &self.rules {
+        for rule in self.iter() {
             rule.check(file, config, &mut out);
         }
         out
-    }
-
-    /// Number of registered rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 }
 

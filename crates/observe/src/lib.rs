@@ -7,8 +7,8 @@
 //! *where does an SLO-violating request spend its time* or *when did the
 //! retry storm peak* were unanswerable without re-instrumenting by hand.
 //! This crate adds observability as a first-class, registry-driven axis —
-//! the same open-registry shape the policy/scenario/capacity/fault
-//! registries use — so sessions and sweeps resolve observers by name and
+//! a kind of the generic `janus_simcore` [`Registry`], like every other
+//! named plug-in — so sessions and sweeps resolve observers by name and
 //! downstream code can register its own.
 //!
 //! An [`Observer`] receives typed lifecycle [`Record`]s (arrival, admission
@@ -46,6 +46,7 @@ pub mod report;
 pub use report::{qualify_policy, PolicyTrace, TraceReport};
 
 use janus_json::Value;
+use janus_simcore::registry::{BuildKind, Registry, RegistryKind};
 use janus_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — request-keyed span index; report rows are sorted by id before any output
@@ -872,129 +873,81 @@ pub trait ObserverFactory: Send + Sync + fmt::Debug {
     fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String>;
 }
 
-/// An ordered, open registry of named observer factories, mirroring the
-/// policy/scenario/capacity/fault registries: registration order is
-/// preserved, re-registering a name replaces the earlier entry in place,
-/// and unknown names fail with the registered names listed.
-#[derive(Clone, Default)]
-pub struct ObserverRegistry {
-    factories: Vec<Arc<dyn ObserverFactory>>,
-}
+/// The observer kind of the generic [`Registry`]: entries are
+/// [`ObserverFactory`]s, each building a fresh [`Observer`] per policy run.
+pub struct Observers;
 
-impl fmt::Debug for ObserverRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ObserverRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
+/// An ordered, open registry of named observer factories (see `DESIGN.md`
+/// "Registries"): registration order is preserved, re-registering a name
+/// replaces the earlier entry in place, and unknown names fail with the
+/// registered names listed.
+pub type ObserverRegistry = Registry<Observers>;
 
-impl ObserverRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+impl RegistryKind for Observers {
+    type Entry = dyn ObserverFactory;
+    const KIND: &'static str = "observer";
+
+    fn name(factory: &dyn ObserverFactory) -> &str {
+        factory.name()
     }
 
-    /// A registry pre-loaded with the built-in observers, cheapest first:
-    /// `ring`, `trace`, `spans`, `time-series`, `flight-recorder`.
-    pub fn with_builtins() -> Self {
-        let mut registry = ObserverRegistry::new();
+    /// The built-in observers, cheapest first: `ring`, `trace`, `spans`,
+    /// `time-series`, `flight-recorder`.
+    fn builtins(registry: &mut ObserverRegistry) {
         registry.register(Arc::new(RingFactory));
         registry.register(Arc::new(TraceFactory));
         registry.register(Arc::new(SpanFactory));
         registry.register(Arc::new(TimeSeriesFactory));
         registry.register(Arc::new(FlightRecorderFactory));
-        registry
+    }
+}
+
+impl BuildKind for Observers {
+    type Ctx<'a> = ObserverContext;
+    type Output = Box<dyn Observer>;
+
+    fn validate(ctx: &ObserverContext) -> Result<(), String> {
+        ctx.validate()
     }
 
-    /// Register a factory. Replaces any earlier factory with the same name
-    /// (keeping its position), otherwise appends.
-    pub fn register(&mut self, factory: Arc<dyn ObserverFactory>) -> &mut Self {
-        match self
-            .factories
-            .iter()
-            .position(|f| f.name() == factory.name())
-        {
-            Some(i) => self.factories[i] = factory,
-            None => self.factories.push(factory),
-        }
-        self
-    }
-
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
-    where
-        F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync + 'static,
-    {
-        struct FnFactory<F> {
-            name: String,
-            build: F,
-        }
-        impl<F> fmt::Debug for FnFactory<F> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct("FnFactory")
-                    .field("name", &self.name)
-                    .finish()
-            }
-        }
-        impl<F> ObserverFactory for FnFactory<F>
-        where
-            F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync,
-        {
-            fn name(&self) -> &str {
-                &self.name
-            }
-            fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-                (self.build)(ctx)
-            }
-        }
-        self.register(Arc::new(FnFactory {
-            name: name.into(),
-            build,
-        }))
-    }
-
-    /// Look a factory up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn ObserverFactory>> {
-        self.factories.iter().find(|f| f.name() == name).cloned()
-    }
-
-    /// Check that `name` is registered, with an informative error listing
-    /// the known names otherwise.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(format!(
-                "unknown observer `{}`; registered: {}",
-                name,
-                self.names().join(", ")
-            ))
-        }
-    }
-
-    /// Build the named observer, with informative errors for unknown names
-    /// or invalid contexts.
-    pub fn build(&self, name: &str, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        ctx.validate()?;
-        self.ensure_known(name)?;
-        let factory = self.get(name).expect("checked by ensure_known");
+    fn build(
+        factory: &dyn ObserverFactory,
+        ctx: &ObserverContext,
+    ) -> Result<Box<dyn Observer>, String> {
         factory.build(ctx)
     }
 
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.iter().map(|f| f.name()).collect()
+    fn from_fn<F>(name: String, build: F) -> Arc<dyn ObserverFactory>
+    where
+        F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync + 'static,
+    {
+        Arc::new(FnFactory { name, build })
+    }
+}
+
+struct FnFactory<F> {
+    name: String,
+    build: F,
+}
+
+impl<F> fmt::Debug for FnFactory<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FnFactory")
+            .field("name", &self.name)
+            .finish()
+    }
+}
+
+impl<F> ObserverFactory for FnFactory<F>
+where
+    F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Number of registered factories.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
+    fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
+        (self.build)(ctx)
     }
 }
 
@@ -1380,21 +1333,6 @@ mod tests {
         };
         let err = registry.build("ring", &bad).map(|_| ()).unwrap_err();
         assert!(err.contains("at least one request"), "got: {err}");
-    }
-
-    #[test]
-    fn register_fn_replaces_in_place() {
-        let mut registry = ObserverRegistry::with_builtins();
-        registry.register_fn("trace", |_ctx| {
-            Ok(Box::new(RingObserver::with_capacity(1)) as Box<dyn Observer>)
-        });
-        assert_eq!(
-            registry.names(),
-            vec!["ring", "trace", "spans", "time-series", "flight-recorder"],
-            "replacement must keep the original position"
-        );
-        let observer = registry.build("trace", &ctx()).unwrap();
-        assert_eq!(observer.name(), "ring");
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   counter, so `admitted + shed == generated` always holds.
 //!
 //! Both traits are object-safe, and both come with name-addressable
-//! registries ([`AutoscalerRegistry`], [`AdmissionRegistry`]) mirroring
-//! `janus-core`'s `PolicyRegistry` and `janus-scenarios`'
-//! `ScenarioRegistry`, so sessions and sweeps resolve capacity behaviour by
+//! registries ([`AutoscalerRegistry`], [`AdmissionRegistry`]) built on the
+//! generic `janus_simcore` [`Registry`], so sessions and sweeps resolve capacity behaviour by
 //! name (`"static"`, `"utilization"`, `"queue-depth"`; `"admit-all"`,
 //! `"token-bucket"`, `"queue-shed"`) and downstream code can register its
 //! own.
 //!
 //! [`Cluster::drain_node`]: janus_simcore::cluster::Cluster::drain_node
 
+use janus_simcore::registry::{BuildKind, Registry, RegistryKind};
 use janus_simcore::time::{SimDuration, SimTime};
 use std::fmt;
 use std::sync::Arc;
@@ -395,148 +395,29 @@ pub trait AdmissionFactory: Send + Sync {
     fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String>;
 }
 
-macro_rules! capacity_registry {
-    ($registry:ident, $factory:ident, $policy:ident, $kind:literal) => {
-        /// An ordered, open registry of named factories. Registration order
-        /// is preserved (it drives sweep ordering); re-registering a name
-        /// replaces the earlier entry in place.
-        #[derive(Clone, Default)]
-        pub struct $registry {
-            factories: Vec<Arc<dyn $factory>>,
-        }
+/// The autoscaler kind of the generic [`Registry`]: entries are
+/// [`AutoscalerFactory`]s, built from a [`CapacityContext`].
+pub struct Autoscalers;
 
-        impl fmt::Debug for $registry {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct(stringify!($registry))
-                    .field("names", &self.names())
-                    .finish()
-            }
-        }
+/// An ordered, open registry of named autoscaler factories. Registration
+/// order is preserved (it drives sweep ordering); re-registering a name
+/// replaces the earlier entry in place.
+pub type AutoscalerRegistry = Registry<Autoscalers>;
 
-        impl $registry {
-            /// An empty registry (no built-ins).
-            pub fn new() -> Self {
-                Self::default()
-            }
+impl RegistryKind for Autoscalers {
+    type Entry = dyn AutoscalerFactory;
+    const KIND: &'static str = "autoscaler";
 
-            /// Register a factory. Replaces any earlier factory with the
-            /// same name (keeping its position), otherwise appends.
-            pub fn register(&mut self, factory: Arc<dyn $factory>) -> &mut Self {
-                match self
-                    .factories
-                    .iter()
-                    .position(|f| f.name() == factory.name())
-                {
-                    Some(i) => self.factories[i] = factory,
-                    None => self.factories.push(factory),
-                }
-                self
-            }
+    fn name(factory: &dyn AutoscalerFactory) -> &str {
+        factory.name()
+    }
 
-            /// Closure shorthand for [`register`](Self::register).
-            pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
-            where
-                F: Fn(&CapacityContext) -> Result<Box<dyn $policy>, String> + Send + Sync + 'static,
-            {
-                struct FnFactory<F> {
-                    name: String,
-                    build: F,
-                }
-                impl<F> $factory for FnFactory<F>
-                where
-                    F: Fn(&CapacityContext) -> Result<Box<dyn $policy>, String> + Send + Sync,
-                {
-                    fn name(&self) -> &str {
-                        &self.name
-                    }
-                    fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn $policy>, String> {
-                        (self.build)(ctx)
-                    }
-                }
-                self.register(Arc::new(FnFactory {
-                    name: name.into(),
-                    build,
-                }))
-            }
-
-            /// Look a factory up by its registered name.
-            pub fn get(&self, name: &str) -> Option<Arc<dyn $factory>> {
-                self.factories.iter().find(|f| f.name() == name).cloned()
-            }
-
-            fn unknown_name_error(&self, name: &str) -> String {
-                format!(
-                    concat!("unknown ", $kind, " `{}`; registered: {}"),
-                    name,
-                    self.names().join(", ")
-                )
-            }
-
-            /// Check that `name` is registered, with an informative error
-            /// listing the known names otherwise.
-            pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-                if self.get(name).is_some() {
-                    Ok(())
-                } else {
-                    Err(self.unknown_name_error(name))
-                }
-            }
-
-            /// Instantiate the named policy, with an informative error for
-            /// unknown names or invalid contexts.
-            pub fn build(
-                &self,
-                name: &str,
-                ctx: &CapacityContext,
-            ) -> Result<Box<dyn $policy>, String> {
-                ctx.validate()?;
-                match self.get(name) {
-                    Some(factory) => factory.build(ctx),
-                    None => Err(self.unknown_name_error(name)),
-                }
-            }
-
-            /// Registered names, in registration order.
-            pub fn names(&self) -> Vec<&str> {
-                self.factories.iter().map(|f| f.name()).collect()
-            }
-
-            /// Number of registered factories.
-            pub fn len(&self) -> usize {
-                self.factories.len()
-            }
-
-            /// True when nothing is registered.
-            pub fn is_empty(&self) -> bool {
-                self.factories.is_empty()
-            }
-        }
-    };
-}
-
-capacity_registry!(
-    AutoscalerRegistry,
-    AutoscalerFactory,
-    AutoscalerPolicy,
-    "autoscaler"
-);
-capacity_registry!(
-    AdmissionRegistry,
-    AdmissionFactory,
-    AdmissionPolicy,
-    "admission policy"
-);
-
-impl AutoscalerRegistry {
-    /// A registry pre-loaded with the built-in autoscalers: `static` (the
-    /// paper's fixed fleet), `utilization` (threshold step scaling with a 5 s
-    /// cool-down, up to 8× the initial fleet), and `queue-depth`
-    /// (proportional to in-flight requests).
-    pub fn with_builtins() -> Self {
-        let mut registry = AutoscalerRegistry::new();
-        registry.register_fn("static", |_ctx| {
-            Ok(Box::new(StaticAutoscaler) as Box<dyn AutoscalerPolicy>)
-        });
+    /// The built-in autoscalers: `static` (the paper's fixed fleet),
+    /// `utilization` (threshold step scaling with a 5 s cool-down, up to 8×
+    /// the initial fleet), and `queue-depth` (proportional to in-flight
+    /// requests).
+    fn builtins(registry: &mut AutoscalerRegistry) {
+        registry.register_fn("static", |_ctx| Ok(Box::new(StaticAutoscaler)));
         registry.register_fn("utilization", |ctx| {
             Ok(Box::new(UtilizationThresholdAutoscaler::new(
                 0.75,
@@ -545,7 +426,7 @@ impl AutoscalerRegistry {
                 SimDuration::from_secs(5.0),
                 ctx.initial_nodes,
                 ctx.initial_nodes.saturating_mul(8),
-            )?) as Box<dyn AutoscalerPolicy>)
+            )?))
         });
         registry.register_fn("queue-depth", |ctx| {
             // Steady state carries ~rps × SLO in-flight requests; target a
@@ -555,34 +436,123 @@ impl AutoscalerRegistry {
                 target,
                 ctx.initial_nodes,
                 ctx.initial_nodes.saturating_mul(8),
-            )?) as Box<dyn AutoscalerPolicy>)
+            )?))
         });
-        registry
     }
 }
 
-impl AdmissionRegistry {
-    /// A registry pre-loaded with the built-in admission policies:
-    /// `admit-all`, `token-bucket` (1.5× the base rate sustained, one
-    /// second of burst) and `queue-shed` (shed beyond ~2× the SLO-implied
-    /// in-flight depth).
-    pub fn with_builtins() -> Self {
-        let mut registry = AdmissionRegistry::new();
-        registry.register_fn("admit-all", |_ctx| {
-            Ok(Box::new(AdmitAll) as Box<dyn AdmissionPolicy>)
-        });
+impl BuildKind for Autoscalers {
+    type Ctx<'a> = CapacityContext;
+    type Output = Box<dyn AutoscalerPolicy>;
+
+    fn validate(ctx: &CapacityContext) -> Result<(), String> {
+        ctx.validate()
+    }
+
+    fn build(
+        factory: &dyn AutoscalerFactory,
+        ctx: &CapacityContext,
+    ) -> Result<Box<dyn AutoscalerPolicy>, String> {
+        factory.build(ctx)
+    }
+
+    fn from_fn<F>(name: String, build: F) -> Arc<dyn AutoscalerFactory>
+    where
+        F: Fn(&CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String>
+            + Send
+            + Sync
+            + 'static,
+    {
+        Arc::new(FnFactory { name, build })
+    }
+}
+
+/// The admission kind of the generic [`Registry`]: entries are
+/// [`AdmissionFactory`]s, built from a [`CapacityContext`].
+pub struct Admissions;
+
+/// An ordered, open registry of named admission-policy factories, with the
+/// same ordering and replacement rules as [`AutoscalerRegistry`].
+pub type AdmissionRegistry = Registry<Admissions>;
+
+impl RegistryKind for Admissions {
+    type Entry = dyn AdmissionFactory;
+    const KIND: &'static str = "admission policy";
+
+    fn name(factory: &dyn AdmissionFactory) -> &str {
+        factory.name()
+    }
+
+    /// The built-in admission policies: `admit-all`, `token-bucket` (1.5×
+    /// the base rate sustained, one second of burst) and `queue-shed` (shed
+    /// beyond ~2× the SLO-implied in-flight depth).
+    fn builtins(registry: &mut AdmissionRegistry) {
+        registry.register_fn("admit-all", |_ctx| Ok(Box::new(AdmitAll)));
         registry.register_fn("token-bucket", |ctx| {
             let rate = 1.5 * ctx.base_rps;
-            Ok(Box::new(TokenBucketAdmission::new(rate, rate.max(10.0))?)
-                as Box<dyn AdmissionPolicy>)
+            Ok(Box::new(TokenBucketAdmission::new(rate, rate.max(10.0))?))
         });
         registry.register_fn("queue-shed", |ctx| {
             // Stable operation keeps ~rps × SLO requests in flight; twice
             // that depth means the system is far behind — shed.
             let depth = (2.0 * ctx.base_rps * ctx.slo.as_secs()).ceil() as usize;
-            Ok(Box::new(QueueLengthAdmission::new(depth.max(1))?) as Box<dyn AdmissionPolicy>)
+            Ok(Box::new(QueueLengthAdmission::new(depth.max(1))?))
         });
-        registry
+    }
+}
+
+impl BuildKind for Admissions {
+    type Ctx<'a> = CapacityContext;
+    type Output = Box<dyn AdmissionPolicy>;
+
+    fn validate(ctx: &CapacityContext) -> Result<(), String> {
+        ctx.validate()
+    }
+
+    fn build(
+        factory: &dyn AdmissionFactory,
+        ctx: &CapacityContext,
+    ) -> Result<Box<dyn AdmissionPolicy>, String> {
+        factory.build(ctx)
+    }
+
+    fn from_fn<F>(name: String, build: F) -> Arc<dyn AdmissionFactory>
+    where
+        F: Fn(&CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> + Send + Sync + 'static,
+    {
+        Arc::new(FnFactory { name, build })
+    }
+}
+
+/// A closure registered with `register_fn`, for either capacity kind.
+struct FnFactory<F> {
+    name: String,
+    build: F,
+}
+
+impl<F> AutoscalerFactory for FnFactory<F>
+where
+    F: Fn(&CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String> {
+        (self.build)(ctx)
+    }
+}
+
+impl<F> AdmissionFactory for FnFactory<F>
+where
+    F: Fn(&CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> {
+        (self.build)(ctx)
     }
 }
 
@@ -750,16 +720,14 @@ mod tests {
     #[test]
     fn custom_factories_register_and_replace() {
         let mut registry = AdmissionRegistry::with_builtins();
-        registry.register_fn("strict", |_ctx| {
-            Ok(Box::new(QueueLengthAdmission::new(1)?) as Box<dyn AdmissionPolicy>)
-        });
+        registry.register_fn("strict", |_ctx| Ok(Box::new(QueueLengthAdmission::new(1)?)));
         assert_eq!(registry.len(), 4);
         let mut built = registry.build("strict", &ctx()).unwrap();
         assert!(built.admit(SimTime::ZERO, 0));
         assert!(!built.admit(SimTime::ZERO, 1));
         // Replacing keeps the original position.
         registry.register_fn("admit-all", |_ctx| {
-            Ok(Box::new(QueueLengthAdmission::new(1)?) as Box<dyn AdmissionPolicy>)
+            Ok(Box::new(QueueLengthAdmission::new(1)?))
         });
         assert_eq!(registry.len(), 4);
         assert_eq!(registry.names()[0], "admit-all");

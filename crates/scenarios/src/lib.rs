@@ -17,8 +17,8 @@
 //!   (sinusoidal rate modulation), [`BurstyArrivals`] (two-state MMPP),
 //!   [`FlashCrowd`] (baseline rate plus a spike window) and [`TraceReplay`]
 //!   (inter-arrival gaps lifted from a [`janus_trace::Trace`]).
-//! * [`ScenarioRegistry`] — scenarios addressable by name, mirroring
-//!   `janus-core`'s `PolicyRegistry`: the built-ins are pre-registered and
+//! * [`ScenarioRegistry`] — scenarios addressable by name, a kind of the
+//!   generic `janus_simcore` registry: the built-ins are pre-registered and
 //!   custom processes plug in through [`ScenarioRegistry::register_fn`]
 //!   without touching any `janus-*` crate.
 //! * [`MergedRequestSource`] — multi-tenant serving: k per-tenant arrival

@@ -26,6 +26,9 @@
 //!   truncated ranges) so every experiment is reproducible from a seed.
 //! * [`metrics`] — counters and sample recorders with pre-interned handles
 //!   so per-event recording pays no name lookup.
+//! * [`registry`] — the one ordered, open [`Registry`] every named plug-in
+//!   kind (policies, scenarios, capacity and fault controls, observers,
+//!   experiments, lint rules) is registered in.
 //!
 //! Everything here is deliberately independent of Janus itself so that the
 //! baselines (ORION, GrandSLAM, …) run on the identical substrate.
@@ -42,6 +45,7 @@ pub mod metrics;
 pub mod node;
 pub mod pod;
 pub mod pool;
+pub mod registry;
 pub mod resources;
 pub mod rng;
 pub mod stats;
@@ -56,6 +60,7 @@ pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle,
 pub use node::{Node, NodeId};
 pub use pod::{Pod, PodId, PodState};
 pub use pool::{PoolConfig, PoolManager};
+pub use registry::{BuildKind, Registry, RegistryKind};
 pub use resources::{CoreGrid, Millicores};
 pub use rng::SimRng;
 pub use stats::{percentile, Cdf, RunningStats, StreamingSummary, Summary};

@@ -214,7 +214,7 @@ impl HintsBundle {
     /// Serialise the bundle to JSON — the artefact "submitted to the adapter
     /// on the serverless platform".
     pub fn to_json(&self) -> Result<String, String> {
-        use crate::json::Value;
+        use janus_json::Value;
         let tables = self
             .tables
             .iter()
@@ -258,15 +258,15 @@ impl HintsBundle {
 
     /// Parse a bundle from JSON, re-validating every table invariant.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let doc = crate::json::parse(s)?;
-        let num = |v: &crate::json::Value, field: &str| -> Result<f64, String> {
+        let doc = janus_json::parse(s)?;
+        let num = |v: &janus_json::Value, field: &str| -> Result<f64, String> {
             v.require(field)?
                 .as_f64()
                 .ok_or_else(|| format!("field `{field}` is not a number"))
         };
         // `as` casts would silently saturate negative / fractional values;
         // reject them instead, like a typed deserializer would.
-        let uint = |v: &crate::json::Value, field: &str| -> Result<u64, String> {
+        let uint = |v: &janus_json::Value, field: &str| -> Result<u64, String> {
             let n = num(v, field)?;
             // janus-lint: allow(float-cmp) — exactness is the point: fract() must be exactly zero for an integer-valued f64
             if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64) {

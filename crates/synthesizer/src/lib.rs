@@ -31,7 +31,6 @@
 pub mod condense;
 pub mod generation;
 pub mod hints;
-pub mod json;
 pub mod synthesizer;
 
 pub use condense::condense;

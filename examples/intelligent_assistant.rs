@@ -8,7 +8,7 @@
 //!
 //! [`ServingSession`]: janus_core::session::ServingSession
 
-use janus_core::comparison::PolicyKind;
+use janus_core::registry::PolicyRegistry;
 use janus_core::session::{Load, ServingSession};
 use janus_core::workloads::apps::PaperApp;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), String> {
     let session = ServingSession::builder()
         .app(PaperApp::IntelligentAssistant)
         .concurrency(1)
-        .policies(PolicyKind::ALL.iter().map(|k| k.name()))
+        .policies(PolicyRegistry::with_builtins().names())
         .load(Load::Closed { requests: 300 })
         .samples_per_point(400)
         .budget_step_ms(2.0)

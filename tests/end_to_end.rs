@@ -6,74 +6,69 @@
 //! checks the headline evaluation claims against the baselines
 //! (janus-baselines).
 
-use janus_core::comparison::{self, ComparisonConfig, PolicyKind};
 use janus_core::deployment::{DeploymentConfig, JanusDeployment, JanusVariant};
 use janus_core::platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_core::registry::PolicyRegistry;
+use janus_core::session::{Load, ServingSession, ServingSessionBuilder};
 use janus_core::workloads::apps::PaperApp;
 use janus_core::workloads::request::RequestInputGenerator;
 use janus_simcore::time::SimDuration;
 
-fn quick(app: PaperApp, concurrency: u32) -> ComparisonConfig {
-    ComparisonConfig {
-        requests: 200,
-        samples_per_point: 300,
-        budget_step_ms: 5.0,
-        ..ComparisonConfig::paper_default(app, concurrency)
-    }
+/// A quick-scale paired comparison of `app` at `concurrency`, under the
+/// app's paper SLO.
+fn quick(app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
+    ServingSession::builder()
+        .app(app)
+        .concurrency(concurrency)
+        .load(Load::Closed { requests: 200 })
+        .samples_per_point(300)
+        .budget_step_ms(5.0)
 }
 
 #[test]
 fn table1_headline_holds_for_ia() {
-    let outcome = comparison::run(&quick(PaperApp::IntelligentAssistant, 1)).unwrap();
-    let optimal = outcome.report(PolicyKind::Optimal).unwrap();
-    let janus = outcome.report(PolicyKind::Janus).unwrap();
-    let orion = outcome.report(PolicyKind::Orion).unwrap();
-    let grandslam = outcome.report(PolicyKind::GrandSlam).unwrap();
-    let grandslam_plus = outcome.report(PolicyKind::GrandSlamPlus).unwrap();
-    let janus_minus = outcome.report(PolicyKind::JanusMinus).unwrap();
-    let janus_plus = outcome.report(PolicyKind::JanusPlus).unwrap();
+    let all = PolicyRegistry::with_builtins();
+    let report = quick(PaperApp::IntelligentAssistant, 1)
+        .policies(all.names())
+        .run()
+        .unwrap();
+    let cpu = |name: &str| report.mean_cpu_millicores(name).unwrap();
 
     // Who wins: Optimal <= Janus+ <= Janus <= Janus- and Janus < every early binder.
-    assert!(optimal.mean_cpu_millicores() <= janus.mean_cpu_millicores());
-    assert!(janus_plus.mean_cpu_millicores() <= janus.mean_cpu_millicores() + 50.0);
-    assert!(janus.mean_cpu_millicores() <= janus_minus.mean_cpu_millicores() + 1e-9);
-    assert!(janus.mean_cpu_millicores() < orion.mean_cpu_millicores());
-    assert!(orion.mean_cpu_millicores() < grandslam_plus.mean_cpu_millicores());
-    assert!(grandslam_plus.mean_cpu_millicores() <= grandslam.mean_cpu_millicores());
+    assert!(cpu("Optimal") <= cpu("Janus"));
+    assert!(cpu("Janus+") <= cpu("Janus") + 50.0);
+    assert!(cpu("Janus") <= cpu("Janus-") + 1e-9);
+    assert!(cpu("Janus") < cpu("ORION"));
+    assert!(cpu("ORION") < cpu("GrandSLAM+"));
+    assert!(cpu("GrandSLAM+") <= cpu("GrandSLAM"));
 
     // Everyone keeps the P99-style SLO guarantee (small violation rates).
-    for kind in PolicyKind::ALL {
-        let rate = outcome.report(kind).unwrap().slo_violation_rate();
-        assert!(rate <= 0.03, "{} violation rate {rate}", kind.name());
+    assert_eq!(report.names(), all.names());
+    for name in all.names() {
+        let rate = report.serving(name).unwrap().slo_violation_rate();
+        assert!(rate <= 0.03, "{name} violation rate {rate}");
     }
 
     // The Table I reductions are positive for every early-binding baseline.
-    for other in [
-        PolicyKind::Orion,
-        PolicyKind::GrandSlamPlus,
-        PolicyKind::GrandSlam,
-    ] {
-        let reduction = outcome.reduction_percent(PolicyKind::Janus, other).unwrap();
-        assert!(
-            reduction > 0.0,
-            "reduction vs {} was {reduction}",
-            other.name()
-        );
+    for other in ["ORION", "GrandSLAM+", "GrandSLAM"] {
+        let reduction = report.reduction_percent("Janus", other, "Optimal").unwrap();
+        assert!(reduction > 0.0, "reduction vs {other} was {reduction}");
     }
 }
 
 #[test]
 fn table1_headline_holds_for_va() {
-    let outcome = comparison::run(&quick(PaperApp::VideoAnalyze, 1)).unwrap();
-    let janus = outcome.report(PolicyKind::Janus).unwrap();
-    let orion = outcome.report(PolicyKind::Orion).unwrap();
-    let grandslam = outcome.report(PolicyKind::GrandSlam).unwrap();
-    assert!(janus.mean_cpu_millicores() < orion.mean_cpu_millicores());
-    assert!(orion.mean_cpu_millicores() < grandslam.mean_cpu_millicores());
-    assert!(janus.slo_violation_rate() <= 0.03);
+    let report = quick(PaperApp::VideoAnalyze, 1)
+        .policies(PolicyRegistry::with_builtins().names())
+        .run()
+        .unwrap();
+    let cpu = |name: &str| report.mean_cpu_millicores(name).unwrap();
+    assert!(cpu("Janus") < cpu("ORION"));
+    assert!(cpu("ORION") < cpu("GrandSLAM"));
+    assert!(report.serving("Janus").unwrap().slo_violation_rate() <= 0.03);
     assert!(
-        outcome
-            .reduction_percent(PolicyKind::Janus, PolicyKind::GrandSlamPlus)
+        report
+            .reduction_percent("Janus", "GrandSLAM+", "Optimal")
             .unwrap()
             > 0.0
     );
@@ -83,27 +78,18 @@ fn table1_headline_holds_for_va() {
 fn higher_concurrency_magnifies_early_binding_overprovisioning() {
     // §V-B: at concurrency 2–3 the early binders over-allocate even more
     // relative to Optimal, while Janus tracks the variance at runtime.
-    let conc1 = comparison::run(&ComparisonConfig {
-        policies: vec![
-            PolicyKind::Optimal,
-            PolicyKind::GrandSlam,
-            PolicyKind::Janus,
-        ],
-        ..quick(PaperApp::IntelligentAssistant, 1)
-    })
-    .unwrap();
-    let conc2 = comparison::run(&ComparisonConfig {
-        policies: vec![
-            PolicyKind::Optimal,
-            PolicyKind::GrandSlam,
-            PolicyKind::Janus,
-        ],
-        ..quick(PaperApp::IntelligentAssistant, 2)
-    })
-    .unwrap();
-    let janus_norm_1 = conc1.normalized_cpu(PolicyKind::Janus).unwrap();
-    let janus_norm_2 = conc2.normalized_cpu(PolicyKind::Janus).unwrap();
-    let gs_norm_2 = conc2.normalized_cpu(PolicyKind::GrandSlam).unwrap();
+    let policies = ["Optimal", "GrandSLAM", "Janus"];
+    let conc1 = quick(PaperApp::IntelligentAssistant, 1)
+        .policies(policies)
+        .run()
+        .unwrap();
+    let conc2 = quick(PaperApp::IntelligentAssistant, 2)
+        .policies(policies)
+        .run()
+        .unwrap();
+    let janus_norm_1 = conc1.normalized_cpu("Janus", "Optimal").unwrap();
+    let janus_norm_2 = conc2.normalized_cpu("Janus", "Optimal").unwrap();
+    let gs_norm_2 = conc2.normalized_cpu("GrandSLAM", "Optimal").unwrap();
     assert!(
         gs_norm_2 > janus_norm_2,
         "GrandSLAM {gs_norm_2} vs Janus {janus_norm_2}"
@@ -113,11 +99,7 @@ fn higher_concurrency_magnifies_early_binding_overprovisioning() {
         "Janus stays near Optimal"
     );
     assert!(
-        conc2
-            .report(PolicyKind::Janus)
-            .unwrap()
-            .slo_violation_rate()
-            <= 0.03,
+        conc2.serving("Janus").unwrap().slo_violation_rate() <= 0.03,
         "Janus keeps the 4s SLO at concurrency 2"
     );
 }
