@@ -16,8 +16,9 @@ use janus_core::experiments::{ExperimentCtx, ExperimentRegistry, Scale};
 use janus_json::Value;
 
 /// The pinned experiments, in `janus list` order.
-const PINNED: [&str; 7] = [
-    "table1", "fig4", "fig5", "fig6", "fig9", "table2", "overhead",
+const PINNED: [&str; 13] = [
+    "fig1a", "fig1b", "fig1c", "fig2", "table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "table2", "overhead",
 ];
 
 fn spec_path(file: &str) -> String {
