@@ -29,9 +29,9 @@ pub struct OptimalOracle {
 impl OptimalOracle {
     /// Pre-compute the optimal plan for every request.
     ///
-    /// `concurrency` and `interference` must match the executor configuration
-    /// (the closed-loop executor runs each request in isolation, so the
-    /// co-location degree is 1).
+    /// `concurrency` and `interference` must match the serving configuration
+    /// (the closed loop runs each request in isolation, so the co-location
+    /// degree is 1).
     pub fn new(
         workflow: &Workflow,
         requests: &[RequestInput],
@@ -215,9 +215,9 @@ impl SizingPolicy for OptimalOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+    use janus_platform::openloop::{OpenLoopArena, OpenLoopConfig, OpenLoopSimulation};
     use janus_workloads::apps::intelligent_assistant;
-    use janus_workloads::request::RequestInputGenerator;
+    use janus_workloads::request::{ClosedLoopSource, RequestInputGenerator};
 
     fn setup(n: usize) -> (Workflow, Vec<RequestInput>) {
         let ia = intelligent_assistant();
@@ -306,17 +306,28 @@ mod tests {
     fn oracle_is_cheapest_among_slo_meeting_policies_in_serving() {
         let (ia, reqs) = setup(200);
         let slo = SimDuration::from_secs(3.0);
-        let exec = ClosedLoopExecutor::new(
-            ia.clone(),
-            ExecutorConfig {
-                count_startup_delays: false,
-                ..ExecutorConfig::paper_serving(slo, 1)
-            },
+        let config = OpenLoopConfig {
+            count_startup_delays: false,
+            ..OpenLoopConfig::new(slo)
+        };
+        let mut oracle = OptimalOracle::new(
+            &ia,
+            &reqs,
+            slo,
+            1,
+            CoreGrid::paper_default(),
+            &config.interference,
         );
-        let interference = exec.config().interference.clone();
-        let mut oracle =
-            OptimalOracle::new(&ia, &reqs, slo, 1, CoreGrid::paper_default(), &interference);
-        let report = exec.run(&mut oracle, &reqs);
+        let report = OpenLoopSimulation::new(ia, config)
+            .run_from_source(
+                &mut oracle,
+                &mut ClosedLoopSource::new(&reqs),
+                &mut OpenLoopArena::new(),
+                None,
+                None,
+                None,
+            )
+            .unwrap();
         assert!(
             report.slo_violation_rate() < 0.02,
             "oracle respects the SLO"

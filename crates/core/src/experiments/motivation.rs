@@ -2,7 +2,9 @@
 
 use janus_baselines::early::grandslam;
 use janus_baselines::oracle::OptimalOracle;
-use janus_platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_platform::openloop::{OpenLoopArena, OpenLoopConfig, OpenLoopSimulation};
+use janus_platform::outcome::ServingReport;
+use janus_platform::policy::SizingPolicy;
 use janus_profiler::percentiles::Percentile;
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_simcore::interference::InterferenceModel;
@@ -12,7 +14,7 @@ use janus_trace::slack::SlackAnalysis;
 use janus_trace::synth::{Trace, TraceConfig};
 use janus_workloads::apps::{intelligent_assistant, PaperApp};
 use janus_workloads::microbench;
-use janus_workloads::request::RequestInputGenerator;
+use janus_workloads::request::{ClosedLoopSource, RequestInputGenerator};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -199,7 +201,7 @@ pub struct Fig2Result {
 
 /// Compare early binding (GrandSLAM-style, P99-sized) against late binding
 /// (Janus) on a small request sample, normalising CPU by the Optimal oracle.
-pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
+pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Result<Fig2Result, String> {
     let app = PaperApp::IntelligentAssistant;
     let workflow = app.workflow();
     let slo = app.default_slo(1);
@@ -207,15 +209,24 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
         samples_per_point: 600,
         seed,
         ..ProfilerConfig::default()
-    })
-    .expect("valid profiler configuration");
+    })?;
     let profile = profiler.profile_workflow(&workflow, 1);
     let reqs = RequestInputGenerator::new(seed, SimDuration::ZERO).generate(&workflow, requests);
-    let exec_config = ExecutorConfig::paper_serving(slo, 1);
-    let executor = ClosedLoopExecutor::new(workflow.clone(), exec_config.clone());
+    let config = OpenLoopConfig::new(slo);
+    let sim = OpenLoopSimulation::new(workflow.clone(), config.clone());
+    // Every policy replays the same requests as the paper's closed loop.
+    let serve = |policy: &mut dyn SizingPolicy| -> Result<ServingReport, String> {
+        sim.run_from_source(
+            policy,
+            &mut ClosedLoopSource::new(&reqs),
+            &mut OpenLoopArena::new(),
+            None,
+            None,
+            None,
+        )
+    };
 
-    let mut early = grandslam(&profile, slo).expect("IA workflow is non-empty");
-    let early_report = executor.run(&mut early, &reqs);
+    let early_report = serve(&mut grandslam(&profile, slo)?)?;
 
     let deployment = JanusDeployment::from_profile(
         &DeploymentConfig {
@@ -225,20 +236,16 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
         },
         workflow.clone(),
         profile,
-    )
-    .expect("valid deployment");
-    let mut late = deployment.policy();
-    let late_report = executor.run(&mut late, &reqs);
-
-    let mut oracle = OptimalOracle::new(
+    )?;
+    let late_report = serve(&mut deployment.policy())?;
+    let optimal_report = serve(&mut OptimalOracle::new(
         &workflow,
         &reqs,
         slo,
         1,
         CoreGrid::paper_default(),
-        &exec_config.interference,
-    );
-    let optimal_report = executor.run(&mut oracle, &reqs);
+        &config.interference,
+    ))?;
 
     let rows: Vec<(u64, f64, f64, f64, f64)> = (0..reqs.len())
         .map(|i| {
@@ -254,11 +261,11 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
         .collect();
     let mean_cpu_reduction =
         1.0 - late_report.mean_cpu_millicores() / early_report.mean_cpu_millicores();
-    Fig2Result {
+    Ok(Fig2Result {
         slo_s: slo.as_secs(),
         rows,
         mean_cpu_reduction,
-    }
+    })
 }
 
 impl fmt::Display for Fig2Result {
@@ -362,7 +369,7 @@ impl Experiment for Fig2Experiment {
         Ok(ExperimentOutput::single(fig2_binding_comparison(
             ctx.scale.fig2_requests(),
             ctx.seed_or(0xF2),
-        )))
+        )?))
     }
 }
 
@@ -407,7 +414,7 @@ mod tests {
 
     #[test]
     fn fig2_late_binding_reduces_cpu_within_slo() {
-        let r = fig2_binding_comparison(40, 11);
+        let r = fig2_binding_comparison(40, 11).unwrap();
         assert_eq!(r.rows.len(), 40);
         assert!(
             r.mean_cpu_reduction > 0.1,

@@ -35,7 +35,7 @@
 //!   deploy adapter) for one workflow, concurrency and SLO.
 //! * [`JanusPolicy`] — the resulting late-binding
 //!   [`SizingPolicy`](janus_platform::policy::SizingPolicy), runnable on the
-//!   same platform executor as every baseline.
+//!   same serving loop as every baseline.
 //! * [`experiments`] — the declarative experiment layer: an object-safe
 //!   [`Experiment`](experiments::Experiment) trait behind an open
 //!   [`ExperimentRegistry`](experiments::ExperimentRegistry) (one built-in

@@ -81,7 +81,7 @@ pub struct PolicyContext<'a> {
 /// A policy instance ready to serve, plus any offline artefacts produced
 /// while building it.
 pub struct BuiltPolicy {
-    /// The policy the executor will drive.
+    /// The policy the serving loop will drive.
     pub policy: Box<dyn SizingPolicy>,
     /// Synthesis statistics, for policies that ran the hints pipeline.
     pub synthesis: Option<SynthesisReport>,

@@ -1,10 +1,11 @@
 //! One entry point for serving: the [`ServingSession`] builder.
 //!
 //! A session is the one way to serve: it profiles a workflow, builds every
-//! named policy, and replays one request set under each of them, in closed
-//! loop (a [`ClosedLoopExecutor`]) or open loop (an
-//! [`OpenLoopSimulation`]). Paired comparisons, the paper's evaluation
-//! methodology, are sessions with several policies:
+//! named policy, and replays one request set under each of them through
+//! the one serving loop, [`OpenLoopSimulation`]: in closed loop (a
+//! [`ClosedLoopSource`] releasing each request as its predecessor leaves)
+//! or open loop (requests arriving on their own clock). Paired comparisons,
+//! the paper's evaluation methodology, are sessions with several policies:
 //!
 //! ```
 //! use janus_core::session::{Load, ServingSession};
@@ -41,7 +42,6 @@ use crate::registry::{PolicyContext, PolicyFactory, PolicyRegistry, SynthesisSet
 use janus_chaos::{FaultContext, FaultRegistry, FaultSchedule};
 use janus_observe::{Observer, ObserverContext, ObserverRegistry, ObserverReport};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
-use janus_platform::executor::{ClosedLoopExecutor, ExecutorConfig};
 use janus_platform::metrics::ServingMetrics;
 use janus_platform::openloop::{
     CapacityControls, OpenLoopArena, OpenLoopConfig, OpenLoopSimulation,
@@ -58,7 +58,8 @@ use janus_simcore::time::SimDuration;
 use janus_synthesizer::synthesizer::SynthesisReport;
 use janus_workloads::apps::PaperApp;
 use janus_workloads::request::{
-    InterArrivalSampler, PoissonGaps, RequestInput, RequestInputGenerator, RequestSource as _,
+    ClosedLoopSource, InterArrivalSampler, PoissonGaps, RequestInput, RequestInputGenerator,
+    RequestSource as _,
 };
 use janus_workloads::workflow::Workflow;
 use serde::{Deserialize, Serialize};
@@ -824,13 +825,15 @@ impl ServingSession {
             }
         };
 
-        let mut exec_config = ExecutorConfig {
+        let mut config = OpenLoopConfig {
+            concurrency: self.concurrency,
             count_startup_delays: self.count_startup_delays,
-            ..ExecutorConfig::paper_serving(self.slo, self.concurrency)
+            ..OpenLoopConfig::new(self.slo)
         };
         if let Some(cluster) = &self.cluster {
-            exec_config.cluster = cluster.clone();
+            config.cluster = cluster.clone();
         }
+        let sim = OpenLoopSimulation::new(self.workflow.clone(), config.clone());
         let ctx = PolicyContext {
             workflow: &self.workflow,
             profile: &profile,
@@ -838,7 +841,7 @@ impl ServingSession {
             concurrency: self.concurrency,
             requests: &requests,
             grid: CoreGrid::paper_default(),
-            interference: &exec_config.interference,
+            interference: &config.interference,
             seed: self.seed,
             synthesis: self.synthesis,
         };
@@ -857,7 +860,7 @@ impl ServingSession {
                         seed: self.seed,
                         policy: name.clone(),
                         requests: self.load.requests(),
-                        zones: exec_config.cluster.zones,
+                        zones: config.cluster.zones,
                         slo: self.slo,
                     };
                     Some(self.observers.build(observer_name, &observer_ctx)?)
@@ -865,24 +868,15 @@ impl ServingSession {
                 None => None,
             };
             let serving = match self.load {
-                Load::Closed { .. } => {
-                    ClosedLoopExecutor::new(self.workflow.clone(), exec_config.clone()).run_traced(
-                        built.policy.as_mut(),
-                        &requests,
-                        Some(metrics),
-                        observer_hook(&mut observer),
-                    )
-                }
+                Load::Closed { .. } => sim.run_from_source(
+                    built.policy.as_mut(),
+                    &mut ClosedLoopSource::new(&requests),
+                    &mut *arena,
+                    Some(metrics),
+                    None,
+                    observer_hook(&mut observer),
+                )?,
                 Load::Open { rps, .. } => {
-                    let open_config = OpenLoopConfig {
-                        slo: self.slo,
-                        concurrency: self.concurrency,
-                        cluster: exec_config.cluster.clone(),
-                        pool: exec_config.pool.clone(),
-                        interference: exec_config.interference.clone(),
-                        count_startup_delays: self.count_startup_delays,
-                    };
-                    let sim = OpenLoopSimulation::new(self.workflow.clone(), open_config);
                     if self.autoscaler.is_some() || self.admission.is_some() || self.fault.is_some()
                     {
                         // Fresh capacity policies per policy run: every
@@ -891,7 +885,7 @@ impl ServingSession {
                         let capacity_ctx = CapacityContext {
                             base_rps: rps,
                             requests: self.load.requests(),
-                            initial_nodes: exec_config.cluster.nodes,
+                            initial_nodes: config.cluster.nodes,
                             slo: self.slo,
                         };
                         let autoscaler_name = self.autoscaler.as_deref().unwrap_or("static");
@@ -906,8 +900,8 @@ impl ServingSession {
                             Some(name) => {
                                 let fault_ctx = FaultContext {
                                     seed: self.seed,
-                                    initial_nodes: exec_config.cluster.nodes,
-                                    zones: exec_config.cluster.zones,
+                                    initial_nodes: config.cluster.nodes,
+                                    zones: config.cluster.zones,
                                     base_rps: rps,
                                     requests: self.load.requests(),
                                     slo: self.slo,

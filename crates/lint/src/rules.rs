@@ -74,15 +74,15 @@ impl LintConfig {
                 .map(|s| s.to_string())
                 .collect(),
             hot_paths: vec![
-                // The open-loop event loop and its per-event helpers (the
+                // The serving event loop and its per-event helpers (the
                 // slice-backed `run_traced` wrapper stays listed so an
                 // allocation sneaking back into it is caught).
                 hot("platform/src/openloop.rs", "run_streaming"),
                 hot("platform/src/openloop.rs", "run_traced"),
                 hot("platform/src/openloop.rs", "start_function"),
+                hot("platform/src/openloop.rs", "draw"),
+                hot("platform/src/openloop.rs", "depart"),
                 hot("platform/src/openloop.rs", "deliver_faults"),
-                // The closed-loop serving path.
-                hot("platform/src/executor.rs", "run_traced"),
                 // The zero-cost-when-off observer hook.
                 hot("platform/src/lib.rs", "emit"),
                 // Pre-interned metric handles: every event records through

@@ -14,16 +14,16 @@
 //!
 //! * [`policy`] — the [`policy::SizingPolicy`] trait and the
 //!   per-request [`policy::RequestContext`].
-//! * [`executor`] — the closed-loop executor used by the evaluation: replays
-//!   a fixed set of [`RequestInput`](janus_workloads::request::RequestInput)s
-//!   through the workflow on top of the pool manager and cluster, invoking
-//!   the policy before every function start.
-//! * [`openloop`] — an open-loop, event-driven serving simulation with
-//!   Poisson arrivals and horizontal scaling, exercising the discrete-event
-//!   engine (used for the queueing/extension experiments).
+//! * [`openloop`] — the one event-driven serving loop. It replays a
+//!   [`RequestSource`](janus_workloads::request::RequestSource) through the
+//!   workflow on top of the pool manager and cluster, invoking the policy
+//!   before every function start. The paper's closed-loop evaluation is a
+//!   [`ClosedLoopSource`](janus_workloads::request::ClosedLoopSource);
+//!   open-loop arrival processes, capacity control and faults share the
+//!   same loop.
 //! * [`outcome`] — per-request outcomes and aggregated serving reports.
 //! * [`metrics`] — the pre-interned [`metrics::ServingMetrics`] handle
-//!   bundle both serving loops record through on the per-event hot path.
+//!   bundle the serving loop records through on the per-event hot path.
 //! * [`capacity`] — elastic capacity: the [`capacity::AutoscalerPolicy`] and
 //!   [`capacity::AdmissionPolicy`] traits, their built-ins and the
 //!   name-addressable registries the open loop's capacity tick drives.
@@ -34,9 +34,8 @@
 /// Offer one lifecycle record to an optional attached observer. A macro
 /// (not a function) so the disabled path is statically zero-cost: with no
 /// observer the record expression is never evaluated — no allocation, no
-/// virtual call, nothing but a branch on an `Option` discriminant. Both
-/// serving loops use it; textual macro scoping makes it visible to the
-/// modules declared below.
+/// virtual call, nothing but a branch on an `Option` discriminant. Textual
+/// macro scoping makes it visible to the modules declared below.
 macro_rules! emit {
     ($observer:expr, $at:expr, $kind:expr) => {
         if let Some(o) = $observer.as_deref_mut() {
@@ -49,7 +48,6 @@ macro_rules! emit {
 }
 
 pub mod capacity;
-pub mod executor;
 pub mod metrics;
 pub mod openloop;
 pub mod outcome;
@@ -59,7 +57,6 @@ pub use capacity::{
     AdmissionPolicy, AdmissionRegistry, AutoscalerPolicy, AutoscalerRegistry, CapacityContext,
     ScalingAction, ScalingObservation,
 };
-pub use executor::{ClosedLoopExecutor, ExecutorConfig};
 pub use metrics::ServingMetrics;
 pub use openloop::{CapacityControls, OpenLoopArena, OpenLoopConfig, OpenLoopSimulation};
 pub use outcome::{

@@ -4,9 +4,9 @@
 //! registry map lock per sample would dominate the simulation itself. A
 //! [`ServingMetrics`] bundle resolves every per-event metric name **once**
 //! (at session setup) into [`CounterHandle`] / [`StreamingHandle`]s; the
-//! executor and the open-loop simulation then record each event through the
-//! pre-resolved handles with no lookup on the hot path (see
-//! [`janus_simcore::metrics`] for the handle contract).
+//! serving loop then records each event through the pre-resolved handles
+//! with no lookup on the hot path (see [`janus_simcore::metrics`] for the
+//! handle contract).
 //!
 //! Latency samples go to **streaming** series deliberately: sweeps run many
 //! sessions and the exact per-request data already lives in each
@@ -21,7 +21,7 @@ use janus_simcore::metrics::{CounterHandle, MetricsRegistry, StreamingHandle};
 /// underlying metrics.
 #[derive(Debug, Clone)]
 pub struct ServingMetrics {
-    /// Requests admitted (closed-loop replays and open-loop arrivals).
+    /// Requests admitted (closed- and open-loop arrivals alike).
     pub requests: CounterHandle,
     /// Function executions completed.
     pub functions: CounterHandle,

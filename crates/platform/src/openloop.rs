@@ -1,20 +1,19 @@
-//! Open-loop, event-driven serving simulation.
+//! The serving simulation: one event-driven loop for every load.
 //!
-//! The closed-loop executor in [`crate::executor`] reproduces the paper's
-//! evaluation methodology (replay 1000 requests back-to-back). This module
-//! exercises the platform the way a production deployment would see it:
-//! requests arrive at their `arrival_offset`s, several workflows are in
-//! flight at once, pods are shared through the warm pool, and co-location of
-//! concurrently running instances creates real interference.
+//! Requests arrive at their `arrival_offset`s, several workflows may be in
+//! flight at once, pods are shared through the warm pool, and co-location
+//! of concurrently running instances creates real interference. The
+//! paper's closed-loop evaluation (replay 1000 requests back-to-back, §V)
+//! is the same loop fed by a [`ClosedLoopSource`], which releases the next
+//! request the instant the previous one leaves; there is no second serving
+//! loop.
 //!
 //! The simulation is agnostic to *how* the offsets were produced: it serves
-//! any arrival process — constant-rate Poisson (the historical default),
-//! diurnal, bursty MMPP, flash crowds, replayed traces — as long as each
-//! request carries its timestamp. `janus-scenarios` defines the processes
-//! and `janus-core`'s session builder (`.arrivals(..)` / `.scenario(..)`)
-//! threads them into the request generator; this module is used by the
-//! queueing / load / scenario-sweep experiments and by integration tests of
-//! the discrete-event substrate.
+//! any arrival process — the closed loop, constant-rate Poisson, diurnal,
+//! bursty MMPP, flash crowds, replayed traces — as long as each request
+//! carries its timestamp. `janus-scenarios` defines the processes and
+//! `janus-core`'s session builder (`.load(..)` / `.arrivals(..)` /
+//! `.scenario(..)`) threads them into the request generator.
 //!
 //! ## Streaming arrivals
 //!
@@ -24,15 +23,20 @@
 //! immediately draws and schedules the source's next one, so a run over a
 //! lazy generator completes in memory bounded by in-flight work regardless
 //! of the request count — the regime the `flash_scale` experiment proves at
-//! 10⁸ requests. Arrivals are scheduled in a lower tie-break class than
-//! completions and ticks, which provably reproduces the pop order of the
-//! historical pre-seeded queue (where arrivals always carried the globally
-//! smallest sequence numbers), so streaming and materialized runs are
-//! bit-identical. The slice-backed entry points ([`run`] and friends) wrap
-//! their requests in a [`SliceSource`] and serve them through the same lazy
-//! core.
+//! 10⁸ requests. Every departure is reported back through
+//! [`RequestSource::on_departure`]; only a source that answers "ready" (the
+//! closed loop) is drawn from again, so open-loop sources see exactly the
+//! draws they always did. Arrivals are scheduled in a lower tie-break class
+//! than completions and ticks, which provably reproduces the pop order of
+//! the historical pre-seeded queue (where arrivals always carried the
+//! globally smallest sequence numbers), so streaming and materialized runs
+//! are bit-identical. The slice-backed entry points ([`run`] and
+//! [`run_traced`]) wrap their requests in a [`SliceSource`] and serve them
+//! through the same lazy core.
 //!
 //! [`run`]: OpenLoopSimulation::run
+//! [`run_traced`]: OpenLoopSimulation::run_traced
+//! [`ClosedLoopSource`]: janus_workloads::request::ClosedLoopSource
 
 use crate::capacity::{AdmissionPolicy, AutoscalerPolicy, ScalingAction, ScalingObservation};
 use crate::metrics::ServingMetrics;
@@ -330,59 +334,20 @@ impl OpenLoopSimulation {
         policy: &mut dyn SizingPolicy,
         requests: &[RequestInput],
     ) -> Result<ServingReport, String> {
-        self.run_instrumented(policy, requests, &mut OpenLoopArena::new(), None)
+        self.run_traced(
+            policy,
+            requests,
+            &mut OpenLoopArena::new(),
+            None,
+            None,
+            None,
+        )
     }
 
-    /// [`run`](Self::run) with reusable state and optional metrics: the
-    /// `arena` carries engine/in-flight allocations (and run statistics)
-    /// across paired runs, and every served event folds into the
-    /// pre-interned [`ServingMetrics`] handles with no per-event name
-    /// lookup.
-    pub fn run_instrumented(
-        &self,
-        policy: &mut dyn SizingPolicy,
-        requests: &[RequestInput],
-        arena: &mut OpenLoopArena,
-        metrics: Option<&ServingMetrics>,
-    ) -> Result<ServingReport, String> {
-        self.run_with_capacity(policy, requests, arena, metrics, None)
-    }
-
-    /// The general serving loop: [`run_instrumented`](Self::run_instrumented)
-    /// plus optional elastic-capacity control. With [`CapacityControls`],
-    /// every arrival is gated by the admission policy (shed requests are
-    /// recorded as [`RequestDisposition::Shed`] outcomes and counted through
-    /// the `shed` metric), and a periodic capacity tick recycles idle pods,
-    /// retargets the warm pool to the fleet size, and applies the
-    /// autoscaler's decisions; the returned report then carries a
-    /// [`CapacityReport`]. When the controls also carry a compiled
-    /// [`FaultSchedule`], each tick first delivers the faults due by then —
-    /// crashing, preempting or degrading nodes, dropping the lost pods from
-    /// pool and cluster tracking, and retrying (once) or failing the
-    /// requests that were running on them — so failures, autoscaling and
-    /// admission interleave on one deterministic timeline.
-    pub fn run_with_capacity(
-        &self,
-        policy: &mut dyn SizingPolicy,
-        requests: &[RequestInput],
-        arena: &mut OpenLoopArena,
-        metrics: Option<&ServingMetrics>,
-        controls: Option<CapacityControls<'_>>,
-    ) -> Result<ServingReport, String> {
-        self.run_traced(policy, requests, arena, metrics, controls, None)
-    }
-
-    /// The fully-instrumented serving loop:
-    /// [`run_with_capacity`](Self::run_with_capacity) plus an optional
-    /// flight-recorder hook. With an [`Observer`] attached, every request
-    /// lifecycle step (arrival, admission verdict, placement, cold start,
-    /// execution, retry, fault delivery, scaling, shed/fail/completion)
-    /// is offered as a typed record stamped with simulated time, and every
-    /// capacity tick contributes a fleet-telemetry sample. With `None` the
-    /// hooks compile down to a branch on the `Option` discriminant — no
-    /// record is constructed and nothing is allocated, so untraced runs
-    /// cost what they did before the hooks existed (the perf bench guards
-    /// this).
+    /// [`run`](Self::run) with reusable state, metrics, capacity control
+    /// and an optional flight recorder; see
+    /// [`run_from_source`](Self::run_from_source), which serves the slice
+    /// through a [`SliceSource`].
     pub fn run_traced(
         &self,
         policy: &mut dyn SizingPolicy,
@@ -401,11 +366,36 @@ impl OpenLoopSimulation {
 
     /// Serve requests pulled lazily from a [`RequestSource`], collecting
     /// outcomes into a [`ServingReport`] (sorted by request id, as the
-    /// slice-backed entry points always reported). Memory stays bounded by
-    /// in-flight work plus whatever the source itself holds resident — but
-    /// the report still materializes one outcome per request; callers that
-    /// must stay bounded at paper scale aggregate through
-    /// [`run_streaming`](Self::run_streaming) instead.
+    /// slice-backed entry points always reported). The `arena` carries
+    /// engine/in-flight allocations (and run statistics) across paired
+    /// runs, and every served event folds into the pre-interned
+    /// [`ServingMetrics`] handles with no per-event name lookup.
+    ///
+    /// With [`CapacityControls`], every arrival is gated by the admission
+    /// policy (shed requests are recorded as [`RequestDisposition::Shed`]
+    /// outcomes and counted through the `shed` metric), and a periodic
+    /// capacity tick recycles idle pods, retargets the warm pool to the
+    /// fleet size, and applies the autoscaler's decisions; the returned
+    /// report then carries a [`CapacityReport`]. When the controls also
+    /// carry a compiled [`FaultSchedule`], each tick first delivers the
+    /// faults due by then — crashing, preempting or degrading nodes,
+    /// dropping the lost pods from pool and cluster tracking, and retrying
+    /// (once) or failing the requests that were running on them — so
+    /// failures, autoscaling and admission interleave on one deterministic
+    /// timeline.
+    ///
+    /// With an [`Observer`] attached, every request lifecycle step
+    /// (arrival, admission verdict, placement, cold start, execution,
+    /// retry, fault delivery, scaling, shed/fail/completion) is offered as
+    /// a typed record stamped with simulated time, and every capacity tick
+    /// contributes a fleet-telemetry sample. With `None` the hooks compile
+    /// down to a branch on the `Option` discriminant — no record is
+    /// constructed and nothing is allocated.
+    ///
+    /// Memory stays bounded by in-flight work plus whatever the source
+    /// itself holds resident — but the report still materializes one
+    /// outcome per request; callers that must stay bounded at paper scale
+    /// aggregate through [`run_streaming`](Self::run_streaming) instead.
     pub fn run_from_source(
         &self,
         policy: &mut dyn SizingPolicy,
@@ -490,22 +480,14 @@ impl OpenLoopSimulation {
             }
         });
 
-        // Lazy arrival discipline: exactly one pending arrival sits in the
-        // queue while the source has more to give. CLASS_ARRIVAL keeps a
-        // same-timestamp arrival ahead of completions and ticks scheduled
-        // before it, reproducing the pre-seeded pop order bit-for-bit.
-        let mut drawn: usize = 0;
-        if let Some(req) = source.next_request(&self.workflow) {
-            drawn += 1;
-            *peak_resident = (*peak_resident).max(source.resident() + 1);
-            engine
-                .schedule_at_class(
-                    SimTime::ZERO + req.arrival_offset,
-                    CLASS_ARRIVAL,
-                    Event::Arrival(req),
-                )
-                .map_err(arrival_order_error)?;
-        }
+        // Lazy arrival discipline: at most one pending arrival sits in the
+        // queue while the source has more to give.
+        let mut arrivals = Arrivals {
+            source,
+            drawn: 0,
+            peak_resident,
+        };
+        arrivals.draw(&self.workflow, engine)?;
         if let Some(tick) = tick {
             engine.schedule_in_class(tick, CLASS_FOLLOWUP, Event::CapacityTick);
         }
@@ -526,17 +508,7 @@ impl OpenLoopSimulation {
                     // any) must be pending before anything can observe the
                     // queue, keeping the one-pending-arrival invariant and
                     // the tick reschedule condition exact.
-                    if let Some(next) = source.next_request(&self.workflow) {
-                        drawn += 1;
-                        *peak_resident = (*peak_resident).max(source.resident() + 1);
-                        engine
-                            .schedule_at_class(
-                                SimTime::ZERO + next.arrival_offset,
-                                CLASS_ARRIVAL,
-                                Event::Arrival(next),
-                            )
-                            .map_err(arrival_order_error)?;
-                    }
+                    arrivals.draw(&self.workflow, engine)?;
                     emit!(observer, now, RecordKind::Arrival { request: input.id });
                     if let Some(c) = controls.as_mut() {
                         let admitted = c.admission.admit(now, inflight.len());
@@ -557,6 +529,7 @@ impl OpenLoopSimulation {
                             }
                             emit!(observer, now, RecordKind::Shed { request: input.id });
                             on_outcome(RequestOutcome::shed(input.id));
+                            arrivals.depart(&self.workflow, engine, now)?;
                             continue;
                         }
                     }
@@ -582,6 +555,7 @@ impl OpenLoopSimulation {
                                 Vec::new(),
                                 Vec::new(),
                             ));
+                            arrivals.depart(&self.workflow, engine, now)?;
                             continue;
                         }
                     }
@@ -689,6 +663,7 @@ impl OpenLoopSimulation {
                             }
                         );
                         on_outcome(outcome);
+                        arrivals.depart(&self.workflow, engine, now)?;
                     } else {
                         self.start_function(
                             policy,
@@ -711,6 +686,7 @@ impl OpenLoopSimulation {
                     // Faults land before the autoscaler observes, so the same
                     // tick can already react to the loss.
                     if let Some(rt) = fault_rt.as_mut() {
+                        let failed_before = rt.failed;
                         self.deliver_faults(
                             rt,
                             policy,
@@ -724,6 +700,10 @@ impl OpenLoopSimulation {
                             acct,
                             &mut observer,
                         );
+                        // Every request failed for good has left the system.
+                        for _ in failed_before..rt.failed {
+                            arrivals.depart(&self.workflow, engine, now)?;
+                        }
                     }
                     // janus-lint: allow(unwrap-discipline) — same invariant: no controls, no CapacityTick ever scheduled
                     let c = controls.as_mut().expect("tick implies controls");
@@ -810,7 +790,7 @@ impl OpenLoopSimulation {
                             // Arrivals the lazy discipline has not drawn yet
                             // still count as queued work, so streaming and
                             // pre-seeded runs report identical depths.
-                            queue_depth: engine.pending() + source.len_hint().unwrap_or(0),
+                            queue_depth: engine.pending() + arrivals.source.len_hint().unwrap_or(0),
                             inflight: inflight.len(),
                             active_nodes: cluster.active_node_count(),
                             nodes_per_zone: cluster.active_nodes_per_zone(),
@@ -838,8 +818,8 @@ impl OpenLoopSimulation {
             CapacityReport {
                 autoscaler: c.autoscaler.name().to_string(),
                 admission: c.admission.name().to_string(),
-                generated: drawn,
-                admitted: drawn - acct.shed,
+                generated: arrivals.drawn,
+                admitted: arrivals.drawn - acct.shed,
                 shed: acct.shed,
                 failed: rt.map_or(0, |rt| rt.failed),
                 retried: rt.map_or(0, |rt| rt.retried),
@@ -1170,6 +1150,50 @@ impl OpenLoopSimulation {
     }
 }
 
+/// The run's view of its [`RequestSource`]: every draw goes through here,
+/// so the draw count and the residency peak cannot miss one.
+struct Arrivals<'a> {
+    source: &'a mut dyn RequestSource,
+    drawn: usize,
+    peak_resident: &'a mut usize,
+}
+
+impl Arrivals<'_> {
+    /// Draw the source's next request, if it has one ready, and schedule its
+    /// arrival. CLASS_ARRIVAL keeps a same-timestamp arrival ahead of
+    /// completions and ticks scheduled before it, reproducing the
+    /// pre-seeded pop order bit-for-bit.
+    fn draw(&mut self, workflow: &Workflow, engine: &mut Engine<Event>) -> Result<(), String> {
+        if let Some(req) = self.source.next_request(workflow) {
+            self.drawn += 1;
+            *self.peak_resident = (*self.peak_resident).max(self.source.resident() + 1);
+            engine
+                .schedule_at_class(
+                    SimTime::ZERO + req.arrival_offset,
+                    CLASS_ARRIVAL,
+                    Event::Arrival(req),
+                )
+                .map_err(arrival_order_error)?;
+        }
+        Ok(())
+    }
+
+    /// Report a departure at `now`. A closed-loop source answers with its
+    /// next request, which arrives at this same instant; an open-loop
+    /// source declines and is not drawn from.
+    fn depart(
+        &mut self,
+        workflow: &Workflow,
+        engine: &mut Engine<Event>,
+        now: SimTime,
+    ) -> Result<(), String> {
+        if self.source.on_departure(now - SimTime::ZERO) {
+            self.draw(workflow, engine)?;
+        }
+        Ok(())
+    }
+}
+
 /// Cold path: render a [`SimError`](janus_simcore::error::SimError) from a
 /// source that yielded an arrival behind the already-advanced clock —
 /// sources must produce non-decreasing `arrival_offset`s.
@@ -1182,7 +1206,166 @@ mod tests {
     use super::*;
     use crate::policy::FixedSizingPolicy;
     use janus_workloads::apps::intelligent_assistant;
-    use janus_workloads::request::RequestInputGenerator;
+    use janus_workloads::request::{ClosedLoopSource, RequestInputGenerator};
+
+    /// Serve `requests` as the paper's closed loop on a fresh arena.
+    fn closed_loop(
+        sim: &OpenLoopSimulation,
+        policy: &mut dyn SizingPolicy,
+        requests: &[RequestInput],
+        metrics: Option<&ServingMetrics>,
+        observer: Option<&mut dyn Observer>,
+    ) -> ServingReport {
+        let mut source = ClosedLoopSource::new(requests);
+        sim.run_from_source(
+            policy,
+            &mut source,
+            &mut OpenLoopArena::new(),
+            metrics,
+            None,
+            observer,
+        )
+        .unwrap()
+    }
+
+    /// The closed-loop setup of the paper's evaluation: IA, concurrency 1,
+    /// and requests that all carry offset zero.
+    fn closed_setup(slo_secs: f64, n: usize, seed: u64) -> (OpenLoopSimulation, Vec<RequestInput>) {
+        let ia = intelligent_assistant();
+        let reqs = RequestInputGenerator::new(seed, SimDuration::ZERO).generate(&ia, n);
+        let sim =
+            OpenLoopSimulation::new(ia, OpenLoopConfig::new(SimDuration::from_secs(slo_secs)));
+        (sim, reqs)
+    }
+
+    fn uniform(name: &str, mc: u32) -> FixedSizingPolicy {
+        FixedSizingPolicy::uniform(name, &intelligent_assistant(), Millicores::new(mc)).unwrap()
+    }
+
+    #[test]
+    fn report_covers_every_request_with_full_allocations() {
+        let (sim, reqs) = closed_setup(3.0, 50, 1);
+        let mut arena = OpenLoopArena::new();
+        let report = sim
+            .run_from_source(
+                &mut uniform("max", 3000),
+                &mut ClosedLoopSource::new(&reqs),
+                &mut arena,
+                None,
+                None,
+                None,
+            )
+            .unwrap();
+        assert_eq!(report.len(), 50);
+        for o in &report.outcomes {
+            assert_eq!(o.allocations.len(), 3);
+            assert_eq!(o.function_latencies.len(), 3);
+            assert_eq!(o.total_cpu(), Millicores::new(9000));
+            assert!(o.e2e.as_millis() > 0.0);
+        }
+        assert_eq!(report.policy, "max");
+        assert_eq!(report.mean_cpu_millicores(), 9000.0);
+        // One request in the system at a time: the queue never holds more
+        // than its next arrival or its running function's completion.
+        assert_eq!(arena.events_processed(), 50 + 50 * 3);
+        assert_eq!(arena.peak_queue_depth(), 1);
+    }
+
+    #[test]
+    fn bigger_allocations_yield_lower_latency_and_fewer_violations() {
+        let (sim, reqs) = closed_setup(3.0, 300, 2);
+        let small_report = closed_loop(&sim, &mut uniform("min", 1000), &reqs, None, None);
+        let large_report = closed_loop(&sim, &mut uniform("max", 3000), &reqs, None, None);
+        assert!(
+            large_report.e2e_summary().unwrap().mean < small_report.e2e_summary().unwrap().mean
+        );
+        assert!(large_report.slo_violation_rate() <= small_report.slo_violation_rate());
+        // With everything at Kmin the 3s SLO must be at risk for tail requests.
+        assert!(small_report.slo_violation_rate() > 0.0);
+        // With everything at Kmax the SLO holds for essentially all requests.
+        assert!(large_report.slo_violation_rate() < 0.02);
+    }
+
+    #[test]
+    fn replaying_the_same_requests_is_deterministic() {
+        let (sim, reqs) = closed_setup(3.0, 40, 3);
+        let r1 = closed_loop(&sim, &mut uniform("a", 2000), &reqs, None, None);
+        let r2 = closed_loop(&sim, &mut uniform("a", 2000), &reqs, None, None);
+        assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn instrumented_runs_record_through_preinterned_handles() {
+        use janus_simcore::metrics::MetricsRegistry;
+        let (sim, reqs) = closed_setup(3.0, 50, 1);
+        let registry = MetricsRegistry::new();
+        let metrics = ServingMetrics::intern(&registry);
+        let report = closed_loop(&sim, &mut uniform("max", 3000), &reqs, Some(&metrics), None);
+        assert_eq!(registry.counter(ServingMetrics::REQUESTS), 50);
+        assert_eq!(registry.counter(ServingMetrics::FUNCTIONS), 150);
+        assert_eq!(metrics.e2e_ms.count(), 50);
+        assert_eq!(metrics.function_ms.count(), 150);
+        assert!(registry.counter(ServingMetrics::COLD_STARTS) > 0);
+        assert_eq!(
+            registry.counter(ServingMetrics::SLO_VIOLATIONS) as f64,
+            report.slo_violation_rate() * 50.0
+        );
+        // The streaming stream agrees with the exact per-request data.
+        let streaming = metrics.e2e_ms.snapshot();
+        assert!((streaming.mean() - report.e2e_summary().unwrap().mean).abs() < 1e-9);
+        // Instrumentation is observation only: the report is bit-identical
+        // to an uninstrumented run.
+        assert_eq!(
+            closed_loop(&sim, &mut uniform("max", 3000), &reqs, None, None),
+            report
+        );
+    }
+
+    #[test]
+    fn traced_runs_emit_full_lifecycles_without_changing_the_report() {
+        use janus_observe::SpanObserver;
+        let (sim, reqs) = closed_setup(3.0, 30, 5);
+        let mut spans = SpanObserver::default();
+        let traced = closed_loop(
+            &sim,
+            &mut uniform("max", 3000),
+            &reqs,
+            None,
+            Some(&mut spans),
+        );
+        let summary = spans.finish().spans.unwrap();
+        assert_eq!(summary.arrivals, 30);
+        assert_eq!(summary.served, 30);
+        assert_eq!(summary.shed + summary.failed, 0);
+        // Every request runs the whole 3-function workflow; the rebuilt span
+        // phases must agree with the report's own E2E aggregation.
+        let mean_e2e = traced.e2e_summary().unwrap().mean;
+        assert!((summary.mean_e2e_ms - mean_e2e).abs() < 1e-9);
+        assert!(summary.mean_exec_ms > 0.0);
+        // Observation is side-effect free on the serving path.
+        assert_eq!(
+            closed_loop(&sim, &mut uniform("max", 3000), &reqs, None, None),
+            traced
+        );
+    }
+
+    #[test]
+    fn startup_delays_can_be_excluded() {
+        let (with, reqs) = closed_setup(3.0, 20, 4);
+        let without = OpenLoopSimulation::new(
+            intelligent_assistant(),
+            OpenLoopConfig {
+                count_startup_delays: false,
+                ..OpenLoopConfig::new(SimDuration::from_secs(3.0))
+            },
+        );
+        let r_with = closed_loop(&with, &mut uniform("x", 2000), &reqs, None, None);
+        let r_without = closed_loop(&without, &mut uniform("x", 2000), &reqs, None, None);
+        assert!(
+            r_with.e2e_summary().unwrap().mean >= r_without.e2e_summary().unwrap().mean,
+            "counting startup delays can only increase E2E"
+        );
+    }
 
     #[test]
     fn open_loop_serves_every_request_exactly_once() {
@@ -1274,7 +1457,7 @@ mod tests {
         let mut arena = OpenLoopArena::new();
         let mut p1 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let first = sim
-            .run_instrumented(&mut p1, &reqs, &mut arena, Some(&metrics))
+            .run_traced(&mut p1, &reqs, &mut arena, Some(&metrics), None, None)
             .unwrap();
         let events_first = arena.events_processed();
         let peak_first = arena.peak_queue_depth();
@@ -1284,7 +1467,7 @@ mod tests {
 
         let mut p2 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let second = sim
-            .run_instrumented(&mut p2, &reqs, &mut arena, Some(&metrics))
+            .run_traced(&mut p2, &reqs, &mut arena, Some(&metrics), None, None)
             .unwrap();
         assert_eq!(first, second, "arena reuse must not perturb the simulation");
         assert_eq!(arena.events_processed(), events_first);
@@ -1318,7 +1501,7 @@ mod tests {
         let mut autoscaler = StaticAutoscaler;
         let mut admission = QueueLengthAdmission::new(2).unwrap();
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1328,6 +1511,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1383,7 +1567,7 @@ mod tests {
                 .unwrap();
         let mut admission = AdmitAll;
         let run_scaled = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1393,6 +1577,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         let cap = run_scaled.capacity.as_ref().unwrap();
@@ -1442,7 +1627,7 @@ mod tests {
         let mut autoscaler = StaticAutoscaler;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1452,6 +1637,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1491,7 +1677,7 @@ mod tests {
         let mut autoscaler = SpinScaler;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1501,6 +1687,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         assert_eq!(report.served_len(), 10, "every request still served");
@@ -1519,7 +1706,7 @@ mod tests {
                 UtilizationThresholdAutoscaler::new(0.5, 0.1, 1, SimDuration::from_secs(2.0), 1, 8)
                     .unwrap();
             let mut admission = QueueLengthAdmission::new(12).unwrap();
-            sim.run_with_capacity(
+            sim.run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1529,6 +1716,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap()
         };
@@ -1580,7 +1768,7 @@ mod tests {
                 .unwrap();
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1590,6 +1778,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(crash_schedule(&[1.5, 2.5, 3.5])),
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1640,7 +1829,7 @@ mod tests {
                 UtilizationThresholdAutoscaler::new(0.5, 0.1, 1, SimDuration::from_secs(2.0), 1, 8)
                     .unwrap();
             let mut admission = QueueLengthAdmission::new(12).unwrap();
-            sim.run_with_capacity(
+            sim.run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1650,6 +1839,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(crash_schedule(&[1.0, 2.0])),
                 }),
+                None,
             )
             .unwrap()
         };
@@ -1690,7 +1880,7 @@ mod tests {
         let mut autoscaler = StaticAutoscaler;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1700,6 +1890,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(schedule),
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1766,7 +1957,7 @@ mod tests {
         let mut autoscaler = TickedStatic(1000.0);
         let mut admission = AdmitAll;
         let graceful = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1776,6 +1967,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(preempt(30_000.0)),
                 }),
+                None,
             )
             .unwrap();
         let cap = graceful.capacity.as_ref().unwrap();
@@ -1792,7 +1984,7 @@ mod tests {
         let mut autoscaler = TickedStatic(100.0);
         let mut admission = AdmitAll;
         let forced = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &heavy,
                 &mut OpenLoopArena::new(),
@@ -1802,6 +1994,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(preempt(1.0)),
                 }),
+                None,
             )
             .unwrap();
         let cap = forced.capacity.as_ref().unwrap();
@@ -1834,47 +2027,56 @@ mod tests {
             OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
         let reqs =
             RequestInputGenerator::new(23, SimDuration::from_millis(100.0)).generate(&ia, 40);
-        let registry = MetricsRegistry::new();
-        let metrics = ServingMetrics::intern(&registry);
-        let schedule = FaultSchedule {
-            injector: "total-loss".into(),
-            victim_seed: 3,
-            events: vec![FaultEvent {
-                at: SimTime::ZERO,
-                action: FaultAction::Crash { count: usize::MAX },
-            }],
-        };
-        let mut autoscaler = FastStatic;
-        let mut admission = AdmitAll;
-        let report = sim
-            .run_with_capacity(
-                &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
-                &reqs,
-                &mut OpenLoopArena::new(),
-                Some(&metrics),
-                Some(CapacityControls {
-                    autoscaler: &mut autoscaler,
-                    admission: &mut admission,
-                    faults: Some(schedule),
-                }),
-            )
-            .unwrap();
-        let cap = report.capacity.as_ref().unwrap();
-        assert_eq!(cap.final_nodes, 0, "nothing survives, nothing recovers");
-        assert_eq!(report.served_len(), 0);
-        assert_eq!(report.failed_len(), 40);
-        assert_eq!(cap.failed, 40);
-        assert_eq!(cap.admitted, 40, "admit-all sheds nothing");
-        assert_eq!(cap.shed, 0);
-        // Statistics degrade to empty/None, never NaN.
-        assert!(report.e2e_summary().is_none());
-        assert!(report.e2e_cdf().is_empty());
-        assert!(report.e2e_percentile(99.0).is_none());
-        assert_eq!(report.e2e_streaming().count(), 0);
-        assert!(!report.slo_violation_rate().is_nan());
-        assert_eq!(report.slo_violation_rate(), 0.0);
-        assert_eq!(cap.final_allocated_mc, 0);
-        assert_eq!(registry.counter(ServingMetrics::FAILED), 40);
+        // The closed loop reaches the dead fleet only through departures:
+        // each failure must release the next request, or the run stalls.
+        let sources: [&mut dyn RequestSource; 2] = [
+            &mut SliceSource::new(&reqs),
+            &mut ClosedLoopSource::new(&reqs),
+        ];
+        for source in sources {
+            let registry = MetricsRegistry::new();
+            let metrics = ServingMetrics::intern(&registry);
+            let schedule = FaultSchedule {
+                injector: "total-loss".into(),
+                victim_seed: 3,
+                events: vec![FaultEvent {
+                    at: SimTime::ZERO,
+                    action: FaultAction::Crash { count: usize::MAX },
+                }],
+            };
+            let mut autoscaler = FastStatic;
+            let mut admission = AdmitAll;
+            let report = sim
+                .run_from_source(
+                    &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
+                    source,
+                    &mut OpenLoopArena::new(),
+                    Some(&metrics),
+                    Some(CapacityControls {
+                        autoscaler: &mut autoscaler,
+                        admission: &mut admission,
+                        faults: Some(schedule),
+                    }),
+                    None,
+                )
+                .unwrap();
+            let cap = report.capacity.as_ref().unwrap();
+            assert_eq!(cap.final_nodes, 0, "nothing survives, nothing recovers");
+            assert_eq!(report.served_len(), 0);
+            assert_eq!(report.failed_len(), 40);
+            assert_eq!(cap.failed, 40);
+            assert_eq!(cap.admitted, 40, "admit-all sheds nothing");
+            assert_eq!(cap.shed, 0);
+            // Statistics degrade to empty/None, never NaN.
+            assert!(report.e2e_summary().is_none());
+            assert!(report.e2e_cdf().is_empty());
+            assert!(report.e2e_percentile(99.0).is_none());
+            assert_eq!(report.e2e_streaming().count(), 0);
+            assert!(!report.slo_violation_rate().is_nan());
+            assert_eq!(report.slo_violation_rate(), 0.0);
+            assert_eq!(cap.final_allocated_mc, 0);
+            assert_eq!(registry.counter(ServingMetrics::FAILED), 40);
+        }
     }
 
     #[test]
@@ -1900,7 +2102,7 @@ mod tests {
         let run = |faults: Option<FaultSchedule>| {
             let mut autoscaler = StaticAutoscaler;
             let mut admission = AdmitAll;
-            sim.run_with_capacity(
+            sim.run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1910,6 +2112,7 @@ mod tests {
                     admission: &mut admission,
                     faults,
                 }),
+                None,
             )
             .unwrap()
         };
@@ -1940,7 +2143,7 @@ mod tests {
             let mut p1 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
             let mut arena = OpenLoopArena::new();
             let materialized = sim
-                .run_instrumented(&mut p1, &reqs, &mut arena, None)
+                .run_traced(&mut p1, &reqs, &mut arena, None, None, None)
                 .unwrap();
             // The slice is resident by definition: peak ≈ N.
             assert_eq!(arena.peak_resident_arrivals(), 80);
@@ -2014,7 +2217,7 @@ mod tests {
         });
         let mut p = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let truncated = sim
-            .run_instrumented(&mut p, &reqs, &mut capped, None)
+            .run_traced(&mut p, &reqs, &mut capped, None, None, None)
             .unwrap();
         assert!(truncated.len() < 10);
         // … and an uncapped arena serves everything.
@@ -2024,7 +2227,7 @@ mod tests {
         });
         let mut p2 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let full = sim
-            .run_instrumented(&mut p2, &reqs, &mut uncapped, None)
+            .run_traced(&mut p2, &reqs, &mut uncapped, None, None, None)
             .unwrap();
         assert_eq!(full.len(), 10);
     }
@@ -2044,12 +2247,8 @@ mod tests {
         }
         let mut policy = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2500)).unwrap();
         let open = sim.run(&mut policy, &reqs).unwrap();
-        let exec = crate::executor::ClosedLoopExecutor::new(
-            ia.clone(),
-            crate::executor::ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
-        );
         let mut policy = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2500)).unwrap();
-        let closed = exec.run(&mut policy, &reqs);
+        let closed = closed_loop(&sim, &mut policy, &reqs, None, None);
         // Same inputs, same allocations: execution times must match exactly.
         for (o, c) in open.outcomes.iter().zip(closed.outcomes.iter()) {
             assert_eq!(o.request_id, c.request_id);

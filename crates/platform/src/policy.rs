@@ -26,7 +26,7 @@ pub struct RequestContext {
 
 /// A function-sizing policy.
 ///
-/// The executor calls [`SizingPolicy::size_next`] immediately before each
+/// The serving loop calls [`SizingPolicy::size_next`] immediately before each
 /// function of the request starts (for early-binding policies this simply
 /// returns the deployment-time size) and [`SizingPolicy::on_complete`] right
 /// after it finishes with the observed execution time — the only runtime

@@ -158,6 +158,15 @@ pub trait RequestSource: fmt::Debug + Send {
     fn len_hint(&self) -> Option<usize> {
         None
     }
+
+    /// Told that a request left the system (served, shed or failed) at
+    /// offset `at`. Returns whether a request is now ready: the serving core
+    /// calls [`next_request`](Self::next_request) again only when this says
+    /// so. Open-loop sources release arrivals on their own clock and keep
+    /// this default, which ignores departures.
+    fn on_departure(&mut self, _at: SimDuration) -> bool {
+        false
+    }
 }
 
 /// A [`RequestSource`] drawing lazily from a [`RequestInputGenerator`]:
@@ -251,6 +260,57 @@ impl RequestSource for SliceSource<'_> {
 
     fn len_hint(&self) -> Option<usize> {
         Some(self.requests.len() - self.pos)
+    }
+}
+
+/// A [`RequestSource`] replaying a slice as the paper's closed loop (§V):
+/// one request in the system at a time, in slice order. The first request
+/// arrives at time zero and each later one the instant its predecessor
+/// leaves; the slice's own `arrival_offset`s are ignored.
+#[derive(Debug)]
+pub struct ClosedLoopSource<'a> {
+    requests: &'a [RequestInput],
+    pos: usize,
+    /// Arrival offset of the next request once the system is empty.
+    ready_at: Option<SimDuration>,
+}
+
+impl<'a> ClosedLoopSource<'a> {
+    /// Closed-loop source over `requests`.
+    pub fn new(requests: &'a [RequestInput]) -> Self {
+        ClosedLoopSource {
+            requests,
+            pos: 0,
+            ready_at: Some(SimDuration::ZERO),
+        }
+    }
+}
+
+impl RequestSource for ClosedLoopSource<'_> {
+    fn next_request(&mut self, _workflow: &Workflow) -> Option<RequestInput> {
+        let request = self.requests.get(self.pos)?;
+        let arrival_offset = self.ready_at.take()?;
+        self.pos += 1;
+        Some(RequestInput {
+            arrival_offset,
+            ..request.clone()
+        })
+    }
+
+    fn resident(&self) -> usize {
+        self.requests.len() - self.pos
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        Some(self.requests.len() - self.pos)
+    }
+
+    fn on_departure(&mut self, at: SimDuration) -> bool {
+        if self.pos == self.requests.len() {
+            return false;
+        }
+        self.ready_at = Some(at);
+        true
     }
 }
 
@@ -363,6 +423,48 @@ mod tests {
         let ids: Vec<u64> = std::iter::from_fn(|| source.next_request(&ia).map(|r| r.id)).collect();
         assert_eq!(ids, vec![3, 1, 0, 2]);
         assert_eq!(source.resident(), 0);
+    }
+
+    #[test]
+    fn closed_loop_source_releases_one_request_per_departure() {
+        let make = |id: u64, ms: f64| RequestInput {
+            id,
+            arrival_offset: SimDuration::from_millis(ms),
+            factors: vec![1.0],
+        };
+        // Unsorted offsets: a closed loop ignores them and keeps slice order.
+        let requests = vec![make(7, 30.0), make(3, 10.0), make(5, 0.0)];
+        let ia = intelligent_assistant();
+        let mut source = ClosedLoopSource::new(&requests);
+        assert_eq!(source.len_hint(), Some(3));
+        assert_eq!(source.resident(), 3, "a slice is fully materialized");
+
+        let first = source.next_request(&ia).unwrap();
+        assert_eq!((first.id, first.arrival_offset), (7, SimDuration::ZERO));
+        assert_eq!(first.factors, requests[0].factors);
+        assert!(
+            source.next_request(&ia).is_none(),
+            "no second arrival before a departure"
+        );
+        assert_eq!(source.len_hint(), Some(2));
+        assert_eq!(source.resident(), 2);
+
+        let mut ids = vec![first.id];
+        for at in [1250.0, 2600.0] {
+            assert!(source.on_departure(SimDuration::from_millis(at)));
+            let next = source.next_request(&ia).unwrap();
+            assert_eq!(next.arrival_offset, SimDuration::from_millis(at));
+            assert!(source.next_request(&ia).is_none());
+            ids.push(next.id);
+        }
+        assert_eq!(ids, vec![7, 3, 5], "slice order, whatever the offsets");
+        assert_eq!(source.len_hint(), Some(0));
+        assert_eq!(source.resident(), 0);
+        assert!(
+            !source.on_departure(SimDuration::from_millis(4000.0)),
+            "an exhausted source has nothing to release"
+        );
+        assert!(source.next_request(&ia).is_none());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use janus_core::adapter::feedback::{FeedbackChannel, FeedbackEvent};
 use janus_core::deployment::{DeploymentConfig, JanusDeployment};
-use janus_core::platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_core::platform::openloop::{OpenLoopArena, OpenLoopConfig, OpenLoopSimulation};
 use janus_core::session::{Load, ServingSession};
 use janus_core::workloads::apps::PaperApp;
-use janus_core::workloads::request::RequestInputGenerator;
+use janus_core::workloads::request::{ClosedLoopSource, RequestInputGenerator};
 use janus_simcore::time::SimDuration;
 
 fn main() -> Result<(), String> {
@@ -41,7 +41,7 @@ fn main() -> Result<(), String> {
 
     // The supervision demo below needs direct access to the adapter's
     // hit/miss statistics and a hand-mutated request set, so it drives the
-    // deployment and executor underneath the session abstraction.
+    // deployment and serving loop underneath the session abstraction.
     let deployment = JanusDeployment::build(&DeploymentConfig {
         samples_per_point: 400,
         budget_step_ms: 2.0,
@@ -49,7 +49,7 @@ fn main() -> Result<(), String> {
     })?;
     let workflow = deployment.workflow().clone();
     let slo = app.default_slo(1);
-    let executor = ClosedLoopExecutor::new(workflow.clone(), ExecutorConfig::paper_serving(slo, 1));
+    let sim = OpenLoopSimulation::new(workflow.clone(), OpenLoopConfig::new(slo));
 
     // Distribution shift: requests suddenly take much longer than profiled
     // (e.g. higher-resolution videos). Budgets collapse below the tables'
@@ -62,7 +62,14 @@ fn main() -> Result<(), String> {
     }
     let feedback = FeedbackChannel::new();
     let mut policy = deployment.policy();
-    let report = executor.run(&mut policy, &shifted);
+    let report = sim.run_from_source(
+        &mut policy,
+        &mut ClosedLoopSource::new(&shifted),
+        &mut OpenLoopArena::new(),
+        None,
+        None,
+        None,
+    )?;
     println!(
         "VA after workload shift: P99 E2E {:.2} s, miss rate {:.2}%, violations {:.1}%",
         report

@@ -7,11 +7,14 @@
 //! (janus-baselines).
 
 use janus_core::deployment::{DeploymentConfig, JanusDeployment, JanusVariant};
-use janus_core::platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_core::platform::openloop::{OpenLoopArena, OpenLoopConfig, OpenLoopSimulation};
+use janus_core::platform::outcome::ServingReport;
+use janus_core::platform::policy::SizingPolicy;
 use janus_core::registry::PolicyRegistry;
 use janus_core::session::{Load, ServingSession, ServingSessionBuilder};
 use janus_core::workloads::apps::PaperApp;
-use janus_core::workloads::request::RequestInputGenerator;
+use janus_core::workloads::request::{ClosedLoopSource, RequestInput, RequestInputGenerator};
+use janus_core::workloads::workflow::Workflow;
 use janus_simcore::time::SimDuration;
 
 /// A quick-scale paired comparison of `app` at `concurrency`, under the
@@ -23,6 +26,26 @@ fn quick(app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
         .load(Load::Closed { requests: 200 })
         .samples_per_point(300)
         .budget_step_ms(5.0)
+}
+
+/// Serve `requests` as the paper's closed loop under the default serving
+/// configuration for `slo`.
+fn closed_loop(
+    workflow: &Workflow,
+    slo: SimDuration,
+    policy: &mut dyn SizingPolicy,
+    requests: &[RequestInput],
+) -> ServingReport {
+    OpenLoopSimulation::new(workflow.clone(), OpenLoopConfig::new(slo))
+        .run_from_source(
+            policy,
+            &mut ClosedLoopSource::new(requests),
+            &mut OpenLoopArena::new(),
+            None,
+            None,
+            None,
+        )
+        .unwrap()
 }
 
 #[test]
@@ -142,12 +165,9 @@ fn janus_variants_differ_only_in_percentile_exploration() {
     // Serving with either variant keeps the SLO; Janus is at least as cheap.
     let workflow = standard.workflow().clone();
     let slo = app.default_slo(1);
-    let executor = ClosedLoopExecutor::new(workflow.clone(), ExecutorConfig::paper_serving(slo, 1));
     let requests = RequestInputGenerator::new(5, SimDuration::ZERO).generate(&workflow, 200);
-    let mut standard_policy = standard.policy();
-    let mut minus_policy = minus.policy();
-    let standard_report = executor.run(&mut standard_policy, &requests);
-    let minus_report = executor.run(&mut minus_policy, &requests);
+    let standard_report = closed_loop(&workflow, slo, &mut standard.policy(), &requests);
+    let minus_report = closed_loop(&workflow, slo, &mut minus.policy(), &requests);
     assert!(standard_report.mean_cpu_millicores() <= minus_report.mean_cpu_millicores() + 1e-9);
     assert!(standard_report.slo_violation_rate() <= 0.03);
     assert!(minus_report.slo_violation_rate() <= 0.03);
@@ -164,13 +184,14 @@ fn adapter_decisions_stay_fast_at_serving_scale() {
     })
     .unwrap();
     let workflow = deployment.workflow().clone();
-    let executor = ClosedLoopExecutor::new(
-        workflow.clone(),
-        ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
-    );
     let requests = RequestInputGenerator::new(11, SimDuration::ZERO).generate(&workflow, 500);
     let mut policy = deployment.policy();
-    let _report = executor.run(&mut policy, &requests);
+    closed_loop(
+        &workflow,
+        SimDuration::from_secs(3.0),
+        &mut policy,
+        &requests,
+    );
     assert_eq!(
         policy.adapter().decisions(),
         1500,
