@@ -91,7 +91,8 @@ pub struct RequestInputGenerator {
 impl RequestInputGenerator {
     /// Create a generator with Poisson arrivals of the given mean
     /// inter-arrival time. Use `SimDuration::ZERO` for a closed-loop
-    /// (back-to-back) workload, matching the paper's 1000-request runs.
+    /// workload (served back-to-back through a [`ClosedLoopSource`]),
+    /// matching the paper's 1000-request runs.
     pub fn new(seed: u64, mean_inter_arrival: SimDuration) -> Self {
         Self::with_sampler(seed, Box::new(PoissonGaps::new(mean_inter_arrival)))
     }
@@ -136,7 +137,7 @@ impl RequestInputGenerator {
 /// A pull-based stream of requests in non-decreasing arrival order — the
 /// streaming counterpart of [`RequestInputGenerator::generate`].
 ///
-/// The open-loop simulation draws one request at a time as simulated time
+/// The serving simulation draws one request at a time as simulated time
 /// advances, so a source backed by a generator holds **no** materialized
 /// arrivals and a run's memory footprint is bounded by in-flight work
 /// instead of the total request count. [`resident`](Self::resident) makes
