@@ -25,13 +25,14 @@
 //! assert!(output.to_json().get("experiment").is_some());
 //! ```
 
-use crate::experiments::{CapacitySweepConfig, PerfConfig, ScenarioSweepConfig, ToJson};
-use crate::session::{Load, ServingSession, ServingSessionBuilder};
+use crate::experiments::{PerfConfig, SessionSpec, SweepResult, SweepSpec, ToJson};
+use crate::session::{Load, ServingSession, ServingSessionBuilder, SessionReport};
 use janus_json::Value;
 use janus_simcore::registry::{Registry, RegistryKind};
 use janus_workloads::apps::PaperApp;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::str::FromStr as _;
 use std::sync::{Arc, Mutex};
 
 /// Shared experiment scale. Every runner interprets it the same way: `Paper`
@@ -79,27 +80,11 @@ impl Scale {
         }
     }
 
-    /// Scenario-sweep configuration for an application at this scale.
-    pub fn scenario_sweep(self, app: PaperApp) -> ScenarioSweepConfig {
-        match self {
-            Scale::Paper => ScenarioSweepConfig::paper_default(app),
-            Scale::Quick => ScenarioSweepConfig::quick(app),
-        }
-    }
-
     /// Perf-trajectory configuration at this scale.
     pub fn perf(self) -> PerfConfig {
         match self {
             Scale::Paper => PerfConfig::paper_default(),
             Scale::Quick => PerfConfig::quick(),
-        }
-    }
-
-    /// Capacity-sweep configuration for an application at this scale.
-    pub fn capacity_sweep(self, app: PaperApp) -> CapacitySweepConfig {
-        match self {
-            Scale::Paper => CapacitySweepConfig::paper_default(app),
-            Scale::Quick => CapacitySweepConfig::quick(app),
         }
     }
 }
@@ -233,6 +218,22 @@ impl ExperimentCtx {
         Ok(())
     }
 
+    /// Append the trace of every live point of a sweep to the sink,
+    /// qualified by `qualifier(point spec)` (see
+    /// [`append_trace`](Self::append_trace)), in grid order.
+    pub fn append_sweep_traces(
+        &self,
+        sweep: &SweepResult,
+        qualifier: impl Fn(&SessionSpec) -> String,
+    ) -> Result<(), String> {
+        for point in &sweep.points {
+            if let Some(trace) = point.live_report().and_then(SessionReport::trace) {
+                self.append_trace(&trace, Some(&qualifier(&point.session)))?;
+            }
+        }
+        Ok(())
+    }
+
     /// The experiment seed: the override when given, otherwise the
     /// experiment's own default (each figure has its own, so figures stay
     /// independent).
@@ -261,22 +262,20 @@ impl ExperimentCtx {
         }
     }
 
-    /// Scenario-sweep configuration at this scale, seed override applied.
-    pub fn scenario_sweep(&self, app: PaperApp) -> ScenarioSweepConfig {
-        let mut config = self.scale.scenario_sweep(app);
+    /// An experiment's committed sweep spec at this scale: the paper-scale
+    /// or the quick document (embedded with `include_str!`), decoded
+    /// strictly, with the seed override applied as the grid's one seed.
+    pub fn sweep_spec(&self, paper: &str, quick: &str) -> Result<SweepSpec, String> {
+        let text = match self.scale {
+            Scale::Paper => paper,
+            Scale::Quick => quick,
+        };
+        let mut spec = SweepSpec::from_str(text)
+            .map_err(|e| format!("committed {} spec: {e}", self.scale.name()))?;
         if let Some(seed) = self.seed {
-            config.seed = seed;
+            spec.seeds = vec![seed];
         }
-        config
-    }
-
-    /// Capacity-sweep configuration at this scale, seed override applied.
-    pub fn capacity_sweep(&self, app: PaperApp) -> CapacitySweepConfig {
-        let mut config = self.scale.capacity_sweep(app);
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        config
+        Ok(spec)
     }
 
     /// Perf-trajectory configuration at this scale, seed override applied.
@@ -626,8 +625,13 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(report.seed, 99);
-        assert_eq!(ctx.scenario_sweep(PaperApp::IntelligentAssistant).seed, 99);
-        assert_eq!(ctx.capacity_sweep(PaperApp::IntelligentAssistant).seed, 99);
+        let committed = include_str!("../../../../specs/experiments/capacity.quick.json");
+        let spec = ctx.sweep_spec(committed, committed).unwrap();
+        assert_eq!(spec.seeds, vec![99]);
+        let unseeded = ExperimentCtx::new(Scale::Quick).sweep_spec(committed, committed);
+        assert_eq!(unseeded.unwrap().seeds, vec![7]);
+        let err = ctx.sweep_spec(committed, "{}").unwrap_err();
+        assert!(err.starts_with("committed quick spec: "), "{err}");
         assert_eq!(ctx.perf_config().seed, 99);
         let plain = ExperimentCtx::new(Scale::Paper);
         assert_eq!(plain.seed_or(5), 5);

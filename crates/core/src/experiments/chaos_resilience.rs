@@ -2,231 +2,158 @@
 //! zone dies mid flash-crowd.
 //!
 //! The capacity sweep asks what elasticity buys under load *shape*; this
-//! experiment asks what it buys under *failure*. Every cell of the
-//! (autoscaler × admission) grid serves the same flash-crowd request set on
-//! a multi-zone spread fleet while the configured fault injector (default
-//! `zone-outage`) kills a whole zone partway through the spike — the worst
-//! correlated failure the topology admits. Both sizing policies run paired
-//! inside each cell, so the grid separates three effects that a single run
-//! confounds: what the sizing policy contributes, what the autoscaler
-//! recovers, and what admission control protects.
+//! experiment asks what it buys under *failure*. The grid is the committed
+//! spec `specs/experiments/chaos_resilience.json`
+//! (`chaos_resilience.quick.json` at `--quick`), served by [`run_sweep`]:
+//! every (autoscaler × admission) point serves the same flash-crowd request
+//! set on a multi-zone spread fleet while the `zone-outage` injector kills a
+//! whole zone partway through the spike — the worst correlated failure the
+//! topology admits. Both sizing policies run paired inside each point, so
+//! the grid separates three effects that a single run confounds: what the
+//! sizing policy contributes, what the autoscaler recovers, and what
+//! admission control protects.
 //!
-//! Each row reports the graceful-degradation quantities: SLO attainment over
-//! what was served, shed and failed counts, fault-triggered retries,
-//! node-seconds billed and nodes lost. Conservation
-//! (`admitted + shed == generated`, `admitted == served + failed`) is
-//! validated in every cell, and the whole grid is bit-reproducible in the
+//! [`ChaosResilienceResult`] is the thin ranking view: each row reports the
+//! graceful-degradation quantities — SLO attainment over what was served,
+//! shed and failed counts, fault-triggered retries, node-seconds billed and
+//! nodes lost. Conservation (`served + shed + failed == generated`) is
+//! validated in every row, and the whole grid is bit-reproducible in the
 //! seed — the fault schedule is part of the replayed experiment, not
 //! ambient randomness.
 
-use crate::experiments::perf::{rate_per_sec, MIN_WALL_MS};
-use crate::experiments::ToJson;
-use crate::session::{Load, ServingSession, SessionReport};
-use janus_json::Value;
-use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
-use janus_simcore::resources::Millicores;
-use janus_workloads::apps::PaperApp;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::{run_sweep, SweepResult};
+use janus_platform::outcome::{CapacityReport, ServingReport};
 use std::fmt;
-use std::time::Instant;
 
-/// Configuration of one chaos-resilience grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosResilienceConfig {
-    /// Application under test.
-    pub app: PaperApp,
-    /// Batch size (concurrency) requests are served at.
-    pub concurrency: u32,
-    /// Sizing policies served paired in every cell.
-    pub policies: Vec<String>,
-    /// Fault injector every cell runs under.
-    pub fault: String,
-    /// Arrival scenario every cell runs under.
-    pub scenario: String,
-    /// Autoscaler names to sweep.
-    pub autoscalers: Vec<String>,
-    /// Admission-policy names to sweep.
-    pub admissions: Vec<String>,
-    /// Starting fleet: multi-zone spread nodes, so a zone outage is a
-    /// correlated loss the survivors can (or cannot) absorb.
-    pub cluster: ClusterConfig,
-    /// Requests generated per cell per policy.
-    pub requests: usize,
-    /// Long-run mean arrival rate.
-    pub rps: f64,
-    /// Request / profiling / fault seed.
-    pub seed: u64,
-    /// Profiler samples per grid point.
-    pub samples_per_point: usize,
-    /// Synthesizer budget step in milliseconds.
-    pub budget_step_ms: f64,
-}
+const PAPER_SPEC: &str = include_str!("../../../../specs/experiments/chaos_resilience.json");
+const QUICK_SPEC: &str = include_str!("../../../../specs/experiments/chaos_resilience.quick.json");
 
-impl ChaosResilienceConfig {
-    /// The default fleet: four spread 8-core nodes across two zones, so the
-    /// outage halves capacity in one event.
-    pub fn two_zone_fleet() -> ClusterConfig {
-        ClusterConfig {
-            nodes: 4,
-            node_capacity: Millicores::from_cores(8),
-            placement: PlacementPolicy::Spread,
-            zones: 2,
-        }
-    }
-
-    /// Paper-scale grid: {static, utilization} × {admit-all, queue-shed}
-    /// under a flash crowd with a mid-run zone outage.
-    pub fn paper_default(app: PaperApp) -> Self {
-        ChaosResilienceConfig {
-            app,
-            concurrency: 1,
-            policies: vec!["GrandSLAM".into(), "Janus".into()],
-            fault: "zone-outage".into(),
-            scenario: "flash-crowd".into(),
-            autoscalers: vec!["static".into(), "utilization".into()],
-            admissions: vec!["admit-all".into(), "queue-shed".into()],
-            cluster: Self::two_zone_fleet(),
-            requests: 300,
-            rps: 6.0,
-            seed: 7,
-            samples_per_point: 1000,
-            budget_step_ms: 1.0,
-        }
-    }
-
-    /// Reduced scale for smoke runs and CI (`--quick`).
-    pub fn quick(app: PaperApp) -> Self {
-        ChaosResilienceConfig {
-            requests: 90,
-            samples_per_point: 300,
-            budget_step_ms: 5.0,
-            ..Self::paper_default(app)
-        }
-    }
-}
-
-/// One row of the grid: one sizing policy under one (autoscaler, admission)
-/// regime, with the fault applied.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosCell {
-    /// Autoscaler name the cell ran under.
-    pub autoscaler: String,
-    /// Admission-policy name the cell ran under.
-    pub admission: String,
+/// One row of the grid: one sizing policy at one (autoscaler, admission)
+/// point, with the fault applied.
+#[derive(Debug, Clone, Copy)]
+pub struct ChaosRow<'a> {
     /// Sizing-policy name of this row.
-    pub policy: String,
-    /// SLO attainment over served requests, in `[0, 1]`.
-    pub slo_attainment: f64,
-    /// Requests admitted and served to completion.
-    pub served: usize,
-    /// Requests shed at arrival.
-    pub shed: usize,
-    /// Admitted requests lost to the fault (retry budget exhausted).
-    pub failed: usize,
-    /// Fault-interrupted requests that re-enqueued and started over.
-    pub retried: usize,
-    /// Nodes force-killed by the fault.
-    pub nodes_lost: usize,
-    /// Node-seconds billed (the capacity bill of surviving the fault).
-    pub node_seconds: f64,
-    /// Peak non-retired node count.
-    pub peak_nodes: usize,
+    pub policy: &'a str,
+    /// The policy's serving report at this point.
+    pub serving: &'a ServingReport,
+    /// The policy's capacity report (autoscaler, admission, fault tallies).
+    pub capacity: &'a CapacityReport,
 }
 
-/// The outcome of a chaos-resilience run: one row per (autoscaler,
-/// admission, policy), in configuration order, plus the full session
-/// reports behind them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+impl ChaosRow<'_> {
+    /// SLO attainment over served requests, in `[0, 1]`.
+    pub fn slo_attainment(&self) -> f64 {
+        1.0 - self.serving.slo_violation_rate()
+    }
+}
+
+/// A chaos grid, viewed one row per (autoscaler, admission, policy).
+#[derive(Debug, Clone)]
 pub struct ChaosResilienceResult {
-    /// Configuration the grid ran with.
-    pub config: ChaosResilienceConfig,
-    /// Grid rows, autoscaler-major, then admission, then policy.
-    pub cells: Vec<ChaosCell>,
-    /// One session report per (autoscaler, admission) cell, in grid order.
-    pub reports: Vec<SessionReport>,
-    /// Wall-clock time of the whole grid, in ms (clamped to stay positive).
-    pub wall_ms: f64,
-    /// Cells processed per wall-clock second.
-    pub cells_per_sec: f64,
+    /// The sweep behind the view (every point under a fault injector).
+    pub sweep: SweepResult,
 }
 
 impl ChaosResilienceResult {
-    /// The row of one (autoscaler, admission, policy) triple.
-    pub fn cell(&self, autoscaler: &str, admission: &str, policy: &str) -> Option<&ChaosCell> {
-        self.cells
-            .iter()
-            .find(|c| c.autoscaler == autoscaler && c.admission == admission && c.policy == policy)
+    /// Wrap a finished sweep, checking what [`SweepResult::validate`] does
+    /// not: every point ran live under capacity control, and in every row
+    /// requests are conserved, attainment is a fraction, the fault killed
+    /// nodes and node-seconds were billed.
+    pub fn new(sweep: SweepResult) -> Result<Self, String> {
+        sweep.spec.validate()?;
+        let view = Self { sweep };
+        let expected = view.sweep.points.len() * view.sweep.spec.policies.len();
+        if view.rows().count() != expected {
+            return Err("every chaos point needs a live capacity report per policy".into());
+        }
+        for row in view.rows() {
+            let label = format!(
+                "cell ({}, {}, {})",
+                row.capacity.autoscaler, row.capacity.admission, row.policy
+            );
+            let served = row.serving.served_len();
+            let (shed, failed) = (row.capacity.shed, row.capacity.failed);
+            if served + shed + failed != view.sweep.spec.requests {
+                return Err(format!(
+                    "{label}: served {served} + shed {shed} + failed {failed} != generated {}",
+                    view.sweep.spec.requests
+                ));
+            }
+            if !(0.0..=1.0).contains(&row.slo_attainment()) {
+                return Err(format!(
+                    "{label}: SLO attainment {} outside [0, 1]",
+                    row.slo_attainment()
+                ));
+            }
+            if row.capacity.nodes_lost == 0 {
+                return Err(format!("{label}: the fault killed no nodes"));
+            }
+            if !(row.capacity.node_seconds.is_finite() && row.capacity.node_seconds > 0.0) {
+                return Err(format!(
+                    "{label}: non-positive node-seconds {}",
+                    row.capacity.node_seconds
+                ));
+            }
+        }
+        Ok(view)
+    }
+
+    /// Every row, autoscaler-major, then admission, then policy.
+    pub fn rows(&self) -> impl Iterator<Item = ChaosRow<'_>> {
+        let policies = &self.sweep.spec.policies;
+        self.sweep.points.iter().flat_map(move |point| {
+            policies.iter().filter_map(move |policy| {
+                let serving = point.live_report()?.serving(policy)?;
+                Some(ChaosRow {
+                    policy,
+                    serving,
+                    capacity: serving.capacity.as_ref()?,
+                })
+            })
+        })
     }
 
     /// Rows ranked most-graceful first: highest SLO attainment over what was
     /// served, fewest failed requests breaking ties.
-    pub fn ranked(&self) -> Vec<&ChaosCell> {
-        let mut rows: Vec<&ChaosCell> = self.cells.iter().collect();
+    pub fn ranked(&self) -> Vec<ChaosRow<'_>> {
+        let mut rows: Vec<ChaosRow<'_>> = self.rows().collect();
         rows.sort_by(|a, b| {
-            b.slo_attainment
-                .total_cmp(&a.slo_attainment)
-                .then(a.failed.cmp(&b.failed))
+            b.slo_attainment()
+                .total_cmp(&a.slo_attainment())
+                .then(a.capacity.failed.cmp(&b.capacity.failed))
         });
         rows
     }
 
-    /// Cross-cell invariants on top of each session's own validation.
-    pub fn validate(&self) -> Result<(), String> {
-        let expected = self.config.autoscalers.len()
-            * self.config.admissions.len()
-            * self.config.policies.len();
-        if self.cells.len() != expected {
-            return Err(format!(
-                "chaos grid produced {} rows for a {expected}-row grid",
-                self.cells.len()
-            ));
-        }
-        for cell in &self.cells {
-            let label = format!(
-                "cell ({}, {}, {})",
-                cell.autoscaler, cell.admission, cell.policy
-            );
-            if cell.served + cell.shed + cell.failed != self.config.requests {
-                return Err(format!(
-                    "{label}: served {} + shed {} + failed {} != generated {}",
-                    cell.served, cell.shed, cell.failed, self.config.requests
-                ));
-            }
-            if !(0.0..=1.0).contains(&cell.slo_attainment) {
-                return Err(format!(
-                    "{label}: SLO attainment {} outside [0, 1]",
-                    cell.slo_attainment
-                ));
-            }
-            if cell.nodes_lost == 0 {
-                return Err(format!("{label}: the fault killed no nodes"));
-            }
-            if !(cell.node_seconds.is_finite() && cell.node_seconds > 0.0) {
-                return Err(format!(
-                    "{label}: non-positive node-seconds {}",
-                    cell.node_seconds
-                ));
-            }
-        }
-        Ok(())
+    /// The fault injector of the grid (`-` for a fault-free spec).
+    pub(crate) fn fault(&self) -> &str {
+        self.sweep
+            .spec
+            .faults
+            .iter()
+            .flatten()
+            .next()
+            .map_or("-", String::as_str)
     }
 }
 
 impl fmt::Display for ChaosResilienceResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let spec = &self.sweep.spec;
+        let cluster = spec.cluster.clone().unwrap_or_default();
         writeln!(
             f,
             "# Chaos resilience: {} under `{}` during `{}`, {} requests/cell @ {} rps on \
              {}x{}mc in {} zones",
-            self.config.app.short_name(),
-            self.config.fault,
-            self.config.scenario,
-            self.config.requests,
-            self.config.rps,
-            self.config.cluster.nodes,
-            self.config.cluster.node_capacity.get(),
-            self.config.cluster.zones,
+            spec.app.short_name(),
+            self.fault(),
+            spec.scenarios[0],
+            spec.requests,
+            spec.loads_rps[0],
+            cluster.nodes,
+            cluster.node_capacity.get(),
+            cluster.zones,
         )?;
         writeln!(
             f,
@@ -242,184 +169,39 @@ impl fmt::Display for ChaosResilienceResult {
             "lost",
             "node-sec"
         )?;
-        for cell in &self.cells {
+        for row in self.rows() {
             writeln!(
                 f,
                 "{:>12} {:>11} {:>12} {:>8.1}% {:>7} {:>7} {:>7} {:>8} {:>6} {:>12.1}",
-                cell.autoscaler,
-                cell.admission,
-                cell.policy,
-                cell.slo_attainment * 100.0,
-                cell.served,
-                cell.shed,
-                cell.failed,
-                cell.retried,
-                cell.nodes_lost,
-                cell.node_seconds,
+                row.capacity.autoscaler,
+                row.capacity.admission,
+                row.policy,
+                row.slo_attainment() * 100.0,
+                row.serving.served_len(),
+                row.capacity.shed,
+                row.capacity.failed,
+                row.capacity.retried,
+                row.capacity.nodes_lost,
+                row.capacity.node_seconds,
             )?;
         }
         if let Some(best) = self.ranked().first() {
             writeln!(
                 f,
                 "most graceful: {} x {} under {} ({:.1}% attainment, {} failed)",
-                best.autoscaler,
-                best.admission,
+                best.capacity.autoscaler,
+                best.capacity.admission,
                 best.policy,
-                best.slo_attainment * 100.0,
-                best.failed,
+                best.slo_attainment() * 100.0,
+                best.capacity.failed,
             )?;
         }
         Ok(())
     }
 }
 
-impl ToJson for ChaosResilienceResult {
-    fn to_json(&self) -> Value {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                Value::Obj(vec![
-                    ("autoscaler".to_string(), Value::Str(c.autoscaler.clone())),
-                    ("admission".to_string(), Value::Str(c.admission.clone())),
-                    ("policy".to_string(), Value::Str(c.policy.clone())),
-                    ("slo_attainment".to_string(), Value::Num(c.slo_attainment)),
-                    ("served".to_string(), Value::Num(c.served as f64)),
-                    ("shed".to_string(), Value::Num(c.shed as f64)),
-                    ("failed".to_string(), Value::Num(c.failed as f64)),
-                    ("retried".to_string(), Value::Num(c.retried as f64)),
-                    ("nodes_lost".to_string(), Value::Num(c.nodes_lost as f64)),
-                    ("node_seconds".to_string(), Value::Num(c.node_seconds)),
-                    ("peak_nodes".to_string(), Value::Num(c.peak_nodes as f64)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            (
-                "experiment".to_string(),
-                Value::Str("chaos_resilience".to_string()),
-            ),
-            (
-                "app".to_string(),
-                Value::Str(self.config.app.short_name().into()),
-            ),
-            ("fault".to_string(), Value::Str(self.config.fault.clone())),
-            (
-                "scenario".to_string(),
-                Value::Str(self.config.scenario.clone()),
-            ),
-            ("seed".to_string(), Value::Num(self.config.seed as f64)),
-            (
-                "requests".to_string(),
-                Value::Num(self.config.requests as f64),
-            ),
-            ("cells".to_string(), Value::Arr(cells)),
-            ("wall_ms".to_string(), Value::Num(self.wall_ms)),
-            ("cells_per_sec".to_string(), Value::Num(self.cells_per_sec)),
-        ])
-    }
-}
-
-/// Run the chaos-resilience grid: one paired multi-policy session per
-/// (autoscaler, admission) cell, every cell under the same fault schedule,
-/// fanned out across threads. Deterministic in the seed.
-pub fn chaos_resilience(config: &ChaosResilienceConfig) -> Result<ChaosResilienceResult, String> {
-    chaos_resilience_observed(config, None)
-}
-
-/// [`chaos_resilience`] with an observer attached to every cell's session
-/// (`janus run chaos_resilience --trace`): the fault deliveries then show up
-/// as typed records in each cell's flight report.
-pub fn chaos_resilience_observed(
-    config: &ChaosResilienceConfig,
-    observer: Option<&str>,
-) -> Result<ChaosResilienceResult, String> {
-    if config.policies.is_empty() {
-        return Err("chaos resilience needs at least one policy".into());
-    }
-    if config.autoscalers.is_empty() || config.admissions.is_empty() {
-        return Err(
-            "chaos resilience needs at least one autoscaler and one admission policy".into(),
-        );
-    }
-    // janus-lint: allow(nondeterminism) — wall-clock cost of the grid, reported as metadata; grid results are seed-pure
-    let started = Instant::now();
-    let mut grid = Vec::new();
-    for autoscaler in &config.autoscalers {
-        for admission in &config.admissions {
-            grid.push((autoscaler.clone(), admission.clone()));
-        }
-    }
-    let reports: Vec<Result<SessionReport, String>> = grid
-        .into_par_iter()
-        .map(|(autoscaler, admission)| {
-            let mut builder = ServingSession::builder()
-                .app(config.app)
-                .concurrency(config.concurrency)
-                .policies(config.policies.clone())
-                .load(Load::Open {
-                    requests: config.requests,
-                    rps: config.rps,
-                })
-                .cluster(config.cluster.clone())
-                .scenario(&config.scenario)
-                .autoscaler(&autoscaler)
-                .admission(&admission)
-                .fault(&config.fault)
-                .seed(config.seed)
-                .samples_per_point(config.samples_per_point)
-                .budget_step_ms(config.budget_step_ms);
-            if let Some(observer) = observer {
-                builder = builder.observe(observer);
-            }
-            builder
-                .run()
-                .map_err(|e| format!("cell ({autoscaler}, {admission}): {e}"))
-        })
-        .collect();
-    let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let mut cells = Vec::with_capacity(reports.len() * config.policies.len());
-    for report in &reports {
-        for policy in &config.policies {
-            let serving = report
-                .serving(policy)
-                .ok_or_else(|| format!("policy `{policy}` missing from its own session"))?;
-            let capacity = serving
-                .capacity
-                .as_ref()
-                .ok_or_else(|| format!("policy `{policy}`: no capacity report"))?;
-            cells.push(ChaosCell {
-                autoscaler: capacity.autoscaler.clone(),
-                admission: capacity.admission.clone(),
-                policy: policy.clone(),
-                slo_attainment: 1.0 - serving.slo_violation_rate(),
-                served: serving.served_len(),
-                shed: capacity.shed,
-                failed: capacity.failed,
-                retried: capacity.retried,
-                nodes_lost: capacity.nodes_lost,
-                node_seconds: capacity.node_seconds,
-                peak_nodes: capacity.peak_nodes,
-            });
-        }
-    }
-    let wall_ms = (started.elapsed().as_secs_f64() * 1000.0).max(MIN_WALL_MS);
-    let result = ChaosResilienceResult {
-        config: config.clone(),
-        cells_per_sec: rate_per_sec(cells.len() as u64, wall_ms),
-        cells,
-        reports,
-        wall_ms,
-    };
-    result.validate()?;
-    Ok(result)
-}
-
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
-
-/// `chaos_resilience` as a registered [`Experiment`]: the IA flash-crowd
-/// zone-outage grid at the configured scale.
+/// `chaos_resilience` as a registered [`Experiment`]: the committed IA
+/// flash-crowd zone-outage grid at the configured scale.
 pub struct ChaosResilienceExperiment;
 
 impl Experiment for ChaosResilienceExperiment {
@@ -432,23 +214,15 @@ impl Experiment for ChaosResilienceExperiment {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut config = match ctx.scale {
-            Scale::Paper => ChaosResilienceConfig::paper_default(PaperApp::IntelligentAssistant),
-            Scale::Quick => ChaosResilienceConfig::quick(PaperApp::IntelligentAssistant),
-        };
-        config.seed = ctx.seed_or(config.seed);
-        let result = chaos_resilience_observed(&config, ctx.observer_name())?;
-        // Reports come back in grid order (autoscaler-major, then
-        // admission); both policies of one cell share its qualifier.
-        let mut reports = result.reports.iter();
-        for autoscaler in &config.autoscalers {
-            for admission in &config.admissions {
-                let Some(report) = reports.next() else { break };
-                if let Some(trace) = report.trace() {
-                    ctx.append_trace(&trace, Some(&format!("{autoscaler}/{admission}")))?;
-                }
-            }
-        }
+        let mut spec = ctx.sweep_spec(PAPER_SPEC, QUICK_SPEC)?;
+        spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);
+        let result = ChaosResilienceResult::new(run_sweep(&spec)?)?;
+        // Both policies of one point share its qualifier.
+        ctx.append_sweep_traces(&result.sweep, |point| {
+            [&point.autoscaler, &point.admission]
+                .map(|axis| axis.as_deref().unwrap_or("-"))
+                .join("/")
+        })?;
         Ok(ExperimentOutput::single(result))
     }
 }
@@ -456,42 +230,52 @@ impl Experiment for ChaosResilienceExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::api::Scale;
+    use crate::experiments::{SweepSpec, ToJson};
+    use std::str::FromStr as _;
 
-    fn tiny_config() -> ChaosResilienceConfig {
-        ChaosResilienceConfig {
+    fn tiny_spec() -> SweepSpec {
+        SweepSpec {
             requests: 60,
             samples_per_point: 250,
             budget_step_ms: 10.0,
-            ..ChaosResilienceConfig::quick(PaperApp::IntelligentAssistant)
+            ..SweepSpec::from_str(QUICK_SPEC).unwrap()
         }
+    }
+
+    fn chaos_resilience(spec: &SweepSpec) -> Result<ChaosResilienceResult, String> {
+        ChaosResilienceResult::new(run_sweep(spec)?)
     }
 
     #[test]
     fn the_grid_survives_a_zone_outage_and_accounts_for_every_request() {
-        let result = chaos_resilience(&tiny_config()).unwrap();
-        result.validate().unwrap();
+        let spec = tiny_spec();
+        let result = chaos_resilience(&spec).unwrap();
         assert_eq!(
-            result.cells.len(),
+            result.rows().count(),
             8,
             "2 autoscalers x 2 admissions x 2 policies"
         );
-        for cell in &result.cells {
+        for row in result.rows() {
             assert_eq!(
-                cell.served + cell.shed + cell.failed,
-                result.config.requests
+                row.serving.served_len() + row.capacity.shed + row.capacity.failed,
+                spec.requests
             );
-            if cell.autoscaler == "static" {
+            if row.capacity.autoscaler == "static" {
                 // With a fixed fleet the 4 nodes stay 2 per zone, so the
                 // outage kills exactly the dying zone's pair; elastic cells
                 // may have reshaped the zone by outage time.
-                assert_eq!(cell.nodes_lost, 2, "static cells lose exactly one zone");
+                assert_eq!(
+                    row.capacity.nodes_lost, 2,
+                    "static cells lose exactly one zone"
+                );
             }
         }
         // The ranking orders by attainment; the display names the winner.
         let ranked = result.ranked();
         assert!(ranked
             .windows(2)
-            .all(|w| w[0].slo_attainment >= w[1].slo_attainment));
+            .all(|w| w[0].slo_attainment() >= w[1].slo_attainment()));
         let shown = format!("{result}");
         assert!(shown.contains("most graceful:"), "{shown}");
         assert!(shown.contains("zone-outage"), "{shown}");
@@ -532,29 +316,34 @@ mod tests {
 
     #[test]
     fn chaos_grids_are_deterministic_and_reject_bad_configs() {
-        let config = ChaosResilienceConfig {
-            autoscalers: vec!["utilization".into()],
-            admissions: vec!["admit-all".into()],
+        let spec = SweepSpec {
+            autoscalers: Some(vec!["utilization".into()]),
+            admissions: Some(vec!["admit-all".into()]),
             policies: vec!["GrandSLAM".into()],
-            ..tiny_config()
+            ..tiny_spec()
         };
-        let a = chaos_resilience(&config).unwrap();
-        let b = chaos_resilience(&config).unwrap();
-        assert_eq!(
-            a.reports[0].serving("GrandSLAM").unwrap(),
-            b.reports[0].serving("GrandSLAM").unwrap()
-        );
-        let err = chaos_resilience(&ChaosResilienceConfig {
+        let a = chaos_resilience(&spec).unwrap();
+        let b = chaos_resilience(&spec).unwrap();
+        let serving = |r: &ChaosResilienceResult| r.rows().next().unwrap().serving.clone();
+        assert_eq!(serving(&a), serving(&b));
+        let err = chaos_resilience(&SweepSpec {
             policies: vec![],
-            ..config.clone()
+            ..spec.clone()
         })
         .unwrap_err();
-        assert!(err.contains("at least one policy"), "{err}");
-        let err = chaos_resilience(&ChaosResilienceConfig {
-            fault: "meteor-strike".into(),
-            ..config
+        assert!(err.contains("`policies`: axis must not be empty"), "{err}");
+        let err = chaos_resilience(&SweepSpec {
+            faults: Some(vec!["meteor-strike".into()]),
+            ..spec.clone()
         })
         .unwrap_err();
         assert!(err.contains("unknown fault injector"), "{err}");
+        // Without a fault nothing dies, and the view says so.
+        let err = chaos_resilience(&SweepSpec {
+            faults: None,
+            ..spec
+        })
+        .unwrap_err();
+        assert!(err.contains("the fault killed no nodes"), "{err}");
     }
 }

@@ -9,9 +9,9 @@
 //! the tables.
 
 use super::{
-    CapacitySweepResult, Fig1aResult, Fig1bResult, Fig1cResult, Fig2Result, Fig6Result, Fig7Result,
-    Fig8Result, Fig9Result, FlashScaleResult, OverallResult, OverheadResult, PerfResult,
-    ScenarioSweepResult, Table2Result,
+    rate_per_sec, CapacitySweepResult, ChaosResilienceResult, Fig1aResult, Fig1bResult,
+    Fig1cResult, Fig2Result, Fig6Result, Fig7Result, Fig8Result, Fig9Result, FlashScaleResult,
+    OverallResult, OverheadResult, PerfResult, ScenarioSweepResult, Table2Result,
 };
 use janus_json::Value;
 
@@ -344,41 +344,39 @@ impl ToJson for OverheadResult {
 
 impl ToJson for ScenarioSweepResult {
     fn to_json(&self) -> Value {
+        let spec = &self.sweep.spec;
         let grid = self
-            .cells
+            .sweep
+            .points
             .iter()
-            .map(|cell| {
-                let policies = cell
-                    .report
+            .map(|point| {
+                let policies = point
                     .policies
                     .iter()
                     .map(|p| {
                         obj(vec![
                             ("name", text(&p.name)),
-                            ("slo_attainment", num(p.slo_attainment())),
-                            ("mean_cpu_millicores", num(p.serving.mean_cpu_millicores())),
-                            (
-                                "p99_e2e_s",
-                                p.serving
-                                    .e2e_percentile(99.0)
-                                    .map(|d| num(d.as_secs()))
-                                    .unwrap_or(Value::Null),
-                            ),
+                            ("slo_attainment", num(p.slo_attainment)),
+                            ("mean_cpu_millicores", num(p.mean_cpu_millicores)),
+                            ("p99_e2e_s", p.p99_e2e_s.map(num).unwrap_or(Value::Null)),
                         ])
                     })
                     .collect();
                 obj(vec![
-                    ("scenario", text(&cell.scenario)),
+                    (
+                        "scenario",
+                        text(point.session.scenario.as_deref().unwrap_or("-")),
+                    ),
                     ("policies", Value::Arr(policies)),
                 ])
             })
             .collect();
         obj(vec![
             ("experiment", text("scenario_sweep")),
-            ("app", text(self.config.app.short_name())),
-            ("concurrency", count(self.config.concurrency as usize)),
-            ("requests", count(self.config.requests)),
-            ("base_rps", num(self.config.rps)),
+            ("app", text(spec.app.short_name())),
+            ("concurrency", count(spec.concurrency as usize)),
+            ("requests", count(spec.requests)),
+            ("base_rps", num(spec.loads_rps[0])),
             ("grid", Value::Arr(grid)),
         ])
     }
@@ -386,41 +384,90 @@ impl ToJson for ScenarioSweepResult {
 
 impl ToJson for CapacitySweepResult {
     fn to_json(&self) -> Value {
+        let spec = &self.sweep.spec;
         let grid = self
-            .cells
-            .iter()
-            .map(|cell| {
+            .rows()
+            .map(|(point, serving, capacity)| {
+                let session = &point.session;
                 obj(vec![
-                    ("scenario", text(&cell.scenario)),
-                    ("autoscaler", text(&cell.autoscaler)),
-                    ("admission", text(&cell.admission)),
-                    ("slo_violation_rate", num(cell.slo_violation_rate)),
-                    ("shed_rate", num(cell.shed_rate)),
-                    ("admitted", count(cell.admitted)),
-                    ("shed", count(cell.shed)),
-                    ("node_seconds", num(cell.node_seconds)),
-                    ("peak_queue_depth", count(cell.peak_queue_depth)),
-                    ("peak_nodes", count(cell.peak_nodes)),
-                    ("scale_ups", count(cell.scale_ups)),
-                    ("scale_downs", count(cell.scale_downs)),
-                    ("wall_ms", num(cell.wall_ms)),
-                    ("requests_per_sec", num(cell.requests_per_sec)),
+                    ("scenario", text(session.scenario.as_deref().unwrap_or("-"))),
+                    (
+                        "autoscaler",
+                        text(session.autoscaler.as_deref().unwrap_or("-")),
+                    ),
+                    (
+                        "admission",
+                        text(session.admission.as_deref().unwrap_or("-")),
+                    ),
+                    ("slo_violation_rate", num(serving.slo_violation_rate())),
+                    ("shed_rate", num(capacity.shed_rate())),
+                    ("admitted", count(capacity.admitted)),
+                    ("shed", count(capacity.shed)),
+                    ("node_seconds", num(capacity.node_seconds)),
+                    ("peak_queue_depth", count(capacity.peak_inflight)),
+                    ("peak_nodes", count(capacity.peak_nodes)),
+                    ("scale_ups", count(capacity.scale_ups)),
+                    ("scale_downs", count(capacity.scale_downs)),
+                    ("wall_ms", num(point.wall_ms)),
+                    (
+                        "requests_per_sec",
+                        num(rate_per_sec(spec.requests as u64, point.wall_ms)),
+                    ),
                 ])
             })
             .collect();
+        let cluster = spec.cluster.clone().unwrap_or_default();
         obj(vec![
             ("experiment", text("capacity_sweep")),
-            ("app", text(self.config.app.short_name())),
-            ("policy", text(&self.config.policy)),
-            ("requests", count(self.config.requests)),
-            ("base_rps", num(self.config.rps)),
-            ("initial_nodes", count(self.config.cluster.nodes)),
+            ("app", text(spec.app.short_name())),
+            ("policy", text(&spec.policies[0])),
+            ("requests", count(spec.requests)),
+            ("base_rps", num(spec.loads_rps[0])),
+            ("initial_nodes", count(cluster.nodes)),
             (
                 "node_capacity_mc",
-                count(self.config.cluster.node_capacity.get() as usize),
+                count(cluster.node_capacity.get() as usize),
             ),
-            ("seed", count(self.config.seed as usize)),
+            ("seed", count(spec.seeds[0] as usize)),
             ("grid", Value::Arr(grid)),
+        ])
+    }
+}
+
+impl ToJson for ChaosResilienceResult {
+    fn to_json(&self) -> Value {
+        let spec = &self.sweep.spec;
+        let cells: Vec<Value> = self
+            .rows()
+            .map(|row| {
+                obj(vec![
+                    ("autoscaler", text(&row.capacity.autoscaler)),
+                    ("admission", text(&row.capacity.admission)),
+                    ("policy", text(row.policy)),
+                    ("slo_attainment", num(row.slo_attainment())),
+                    ("served", count(row.serving.served_len())),
+                    ("shed", count(row.capacity.shed)),
+                    ("failed", count(row.capacity.failed)),
+                    ("retried", count(row.capacity.retried)),
+                    ("nodes_lost", count(row.capacity.nodes_lost)),
+                    ("node_seconds", num(row.capacity.node_seconds)),
+                    ("peak_nodes", count(row.capacity.peak_nodes)),
+                ])
+            })
+            .collect();
+        // The compute cost of the grid: the sum of per-point wall times.
+        let wall_ms = self.sweep.total_wall_ms;
+        let cells_per_sec = rate_per_sec(cells.len() as u64, wall_ms);
+        obj(vec![
+            ("experiment", text("chaos_resilience")),
+            ("app", text(spec.app.short_name())),
+            ("fault", text(self.fault())),
+            ("scenario", text(&spec.scenarios[0])),
+            ("seed", num(spec.seeds[0] as f64)),
+            ("requests", count(spec.requests)),
+            ("cells", Value::Arr(cells)),
+            ("wall_ms", num(wall_ms)),
+            ("cells_per_sec", num(cells_per_sec)),
         ])
     }
 }
@@ -542,17 +589,26 @@ mod tests {
 
     #[test]
     fn sweep_results_encode_the_full_grid() {
-        use janus_workloads::apps::PaperApp;
-        let config = experiments::ScenarioSweepConfig {
-            scenarios: vec!["poisson".into()],
+        let spec = experiments::SweepSpec {
+            name: "tiny".into(),
+            app: janus_workloads::apps::PaperApp::IntelligentAssistant,
+            concurrency: 1,
             policies: vec!["GrandSLAM".into()],
+            scenarios: vec!["poisson".into()],
+            loads_rps: vec![2.0],
+            seeds: vec![7],
+            autoscalers: None,
+            admissions: None,
+            faults: None,
+            observers: None,
+            cluster: None,
+            tenants: None,
             requests: 20,
-            rps: 2.0,
             samples_per_point: 250,
             budget_step_ms: 10.0,
-            ..experiments::ScenarioSweepConfig::quick(PaperApp::IntelligentAssistant)
         };
-        let result = experiments::scenario_sweep(&config).unwrap();
+        let sweep = experiments::run_sweep(&spec).unwrap();
+        let result = experiments::ScenarioSweepResult::new(sweep).unwrap();
         let doc = json::parse(&result.to_json().to_pretty()).unwrap();
         let grid = doc.require("grid").unwrap().as_array().unwrap();
         assert_eq!(grid.len(), 1);

@@ -1,124 +1,73 @@
-//! Scenario sweep: every policy under every load shape, in parallel.
+//! Scenario sweep: every policy under every load shape.
 //!
 //! The paper evaluates its policies under a single load shape; the sweep
-//! generalizes that into a (scenario × policy) grid. Each grid column is one
-//! [`ServingSession`] — all policies of a column replay the *same* request
-//! set under the same arrival process (paired comparison), and the session
-//! checks its structural invariants before returning. Columns are
-//! independent, so they fan out across threads (rayon); results come back in
-//! configuration order regardless of scheduling.
+//! generalizes that into a (scenario × policy) grid. The grid is the
+//! committed spec `specs/experiments/scenarios.json` (`scenarios.quick.json`
+//! at `--quick`), served by [`run_sweep`]: each grid point is one paired,
+//! invariant-checked [`ServingSession`](crate::session::ServingSession), so
+//! all policies of a point replay the *same* request set under the same
+//! arrival process. [`ScenarioSweepResult`] is the thin view that renders
+//! the sweep as the scenario × policy tables.
 //!
 //! Because every built-in scenario is normalized to the sweep's base rate
 //! (see `janus-scenarios`), differences across a row isolate the effect of
 //! load *shape* — burstiness, spikes, trace dynamics — from offered load.
 
-use crate::session::{Load, ServingSession, SessionReport};
-use janus_scenarios::ScenarioRegistry;
+use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::{run_sweep, PolicyCell, SweepPoint, SweepResult};
+use crate::session::SessionReport;
 use janus_simcore::stats::StreamingSummary;
-use janus_workloads::apps::PaperApp;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Configuration of one scenario sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioSweepConfig {
-    /// Application under test.
-    pub app: PaperApp,
-    /// Batch size (concurrency) requests are served at.
-    pub concurrency: u32,
-    /// Scenario names to sweep (resolved from the scenario registry).
-    pub scenarios: Vec<String>,
-    /// Policy names to serve under each scenario (resolved from the policy
-    /// registry).
-    pub policies: Vec<String>,
-    /// Requests generated per (scenario, policy) cell.
-    pub requests: usize,
-    /// Long-run mean arrival rate every scenario is normalized to.
-    pub rps: f64,
-    /// Request / profiling seed.
-    pub seed: u64,
-    /// Profiler samples per grid point.
-    pub samples_per_point: usize,
-    /// Synthesizer budget step in milliseconds.
-    pub budget_step_ms: f64,
-}
+const PAPER_SPEC: &str = include_str!("../../../../specs/experiments/scenarios.json");
+const QUICK_SPEC: &str = include_str!("../../../../specs/experiments/scenarios.quick.json");
 
-impl ScenarioSweepConfig {
-    /// Paper-scale sweep: the five built-in scenarios × four representative
-    /// policies at a load that produces real queueing.
-    pub fn paper_default(app: PaperApp) -> Self {
-        ScenarioSweepConfig {
-            app,
-            concurrency: 1,
-            scenarios: ScenarioRegistry::with_builtins()
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            policies: vec![
-                "ORION".into(),
-                "GrandSLAM".into(),
-                "Janus".into(),
-                "Janus+".into(),
-            ],
-            requests: 500,
-            rps: 1.0,
-            seed: 7,
-            samples_per_point: 1000,
-            budget_step_ms: 1.0,
-        }
-    }
-
-    /// Reduced scale for smoke runs and CI (`--quick`): same grid, fewer
-    /// requests and profile samples.
-    pub fn quick(app: PaperApp) -> Self {
-        ScenarioSweepConfig {
-            requests: 120,
-            samples_per_point: 300,
-            budget_step_ms: 5.0,
-            ..Self::paper_default(app)
-        }
-    }
-}
-
-/// One column of the sweep grid: every configured policy served under one
-/// scenario, paired on an identical request set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScenarioCell {
-    /// Scenario name the column ran under.
-    pub scenario: String,
-    /// The session report (one `PolicyReport` per policy, invariant-checked).
-    pub report: SessionReport,
-}
-
-/// The outcome of a scenario sweep: one invariant-checked session per
-/// scenario, in configuration order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A scenario × policy sweep, viewed one row per scenario.
+#[derive(Debug, Clone)]
 pub struct ScenarioSweepResult {
-    /// Configuration the sweep ran with.
-    pub config: ScenarioSweepConfig,
-    /// Per-scenario sessions, in `config.scenarios` order.
-    pub cells: Vec<ScenarioCell>,
+    /// The sweep behind the view (one point per scenario).
+    pub sweep: SweepResult,
 }
 
 impl ScenarioSweepResult {
+    /// Wrap a finished sweep, checking what [`SweepResult::validate`] does
+    /// not: every point ran live, every policy served every generated
+    /// request, and every attainment is a fraction.
+    pub fn new(sweep: SweepResult) -> Result<Self, String> {
+        sweep.spec.validate()?;
+        for point in &sweep.points {
+            let label = point.session.axis_label();
+            let report = point
+                .live_report()
+                .ok_or_else(|| format!("point ({label}) has no live report"))?;
+            for policy in &report.policies {
+                if policy.serving.len() != sweep.spec.requests {
+                    return Err(format!(
+                        "point ({label}) / policy `{}`: served {} of {} requests",
+                        policy.name,
+                        policy.serving.len(),
+                        sweep.spec.requests
+                    ));
+                }
+                if !(0.0..=1.0).contains(&policy.slo_attainment()) {
+                    return Err(format!(
+                        "point ({label}) / policy `{}`: SLO attainment {} outside [0, 1]",
+                        policy.name,
+                        policy.slo_attainment()
+                    ));
+                }
+            }
+        }
+        Ok(Self { sweep })
+    }
+
     /// The session of one scenario.
     pub fn cell(&self, scenario: &str) -> Option<&SessionReport> {
-        self.cells
+        self.sweep
+            .points
             .iter()
-            .find(|c| c.scenario == scenario)
-            .map(|c| &c.report)
-    }
-
-    /// SLO attainment of one (scenario, policy) grid cell, in `[0, 1]`.
-    pub fn attainment(&self, scenario: &str, policy: &str) -> Option<f64> {
-        self.cell(scenario)?.slo_attainment(policy)
-    }
-
-    /// Mean per-request CPU (millicores) of one (scenario, policy) cell.
-    pub fn mean_cpu(&self, scenario: &str, policy: &str) -> Option<f64> {
-        self.cell(scenario)?.mean_cpu_millicores(policy)
+            .find(|p| p.session.scenario.as_deref() == Some(scenario))
+            .and_then(SweepPoint::live_report)
     }
 
     /// Pooled end-to-end latency statistics of one policy across **every**
@@ -127,106 +76,52 @@ impl ScenarioSweepResult {
     /// per-request sample set. `None` if the policy ran in no cell.
     pub fn pooled_e2e_streaming(&self, policy: &str) -> Option<StreamingSummary> {
         let mut pooled = StreamingSummary::new();
-        for cell in &self.cells {
-            // Cells missing the policy (possible in hand-assembled partial
-            // sweeps) are skipped rather than zeroing out the whole pool.
-            if let Some(serving) = cell.report.serving(policy) {
+        for report in self.sweep.points.iter().filter_map(SweepPoint::live_report) {
+            if let Some(serving) = report.serving(policy) {
                 pooled.merge(&serving.e2e_streaming());
             }
         }
         (!pooled.is_empty()).then_some(pooled)
     }
-
-    /// Cross-cell invariants on top of each session's own validation: the
-    /// grid is complete (every scenario ran every policy, in order) and each
-    /// cell served the configured number of requests.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.cells.len() != self.config.scenarios.len() {
-            return Err(format!(
-                "sweep produced {} cells for {} scenarios",
-                self.cells.len(),
-                self.config.scenarios.len()
-            ));
-        }
-        for (cell, expected) in self.cells.iter().zip(&self.config.scenarios) {
-            if &cell.scenario != expected {
-                return Err(format!(
-                    "cell order broken: got `{}`, expected `{expected}`",
-                    cell.scenario
-                ));
-            }
-            let names: Vec<&str> = cell.report.names();
-            if names
-                != self
-                    .config
-                    .policies
-                    .iter()
-                    .map(String::as_str)
-                    .collect::<Vec<_>>()
-            {
-                return Err(format!(
-                    "scenario `{}` ran policies {names:?}, expected {:?}",
-                    cell.scenario, self.config.policies
-                ));
-            }
-            for policy in &cell.report.policies {
-                if policy.serving.len() != self.config.requests {
-                    return Err(format!(
-                        "scenario `{}` / policy `{}`: served {} of {} requests",
-                        cell.scenario,
-                        policy.name,
-                        policy.serving.len(),
-                        self.config.requests
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for ScenarioSweepResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let spec = &self.sweep.spec;
         writeln!(
             f,
             "# Scenario sweep: {} @ concurrency {} ({} requests per cell, base {} rps)",
-            self.config.app.short_name(),
-            self.config.concurrency,
-            self.config.requests,
-            self.config.rps
+            spec.app.short_name(),
+            spec.concurrency,
+            spec.requests,
+            spec.loads_rps[0]
         )?;
-        writeln!(f, "## SLO attainment (%)")?;
-        write!(f, "{:>14}", "scenario")?;
-        for policy in &self.config.policies {
-            write!(f, " {policy:>12}")?;
-        }
-        writeln!(f)?;
-        for cell in &self.cells {
-            write!(f, "{:>14}", cell.scenario)?;
-            for policy in &self.config.policies {
-                match cell.report.slo_attainment(policy) {
-                    Some(a) => write!(f, " {:>11.1}%", a * 100.0)?,
-                    None => write!(f, " {:>12}", "-")?,
-                }
+        let table = |f: &mut fmt::Formatter<'_>,
+                     title: &str,
+                     value: &dyn Fn(&PolicyCell) -> String|
+         -> fmt::Result {
+            writeln!(f, "## {title}")?;
+            write!(f, "{:>14}", "scenario")?;
+            for policy in &spec.policies {
+                write!(f, " {policy:>12}")?;
             }
             writeln!(f)?;
-        }
-        writeln!(f, "## Mean CPU per request (millicores)")?;
-        write!(f, "{:>14}", "scenario")?;
-        for policy in &self.config.policies {
-            write!(f, " {policy:>12}")?;
-        }
-        writeln!(f)?;
-        for cell in &self.cells {
-            write!(f, "{:>14}", cell.scenario)?;
-            for policy in &self.config.policies {
-                match cell.report.mean_cpu_millicores(policy) {
-                    Some(cpu) => write!(f, " {cpu:>12.1}")?,
-                    None => write!(f, " {:>12}", "-")?,
+            for point in &self.sweep.points {
+                let scenario = point.session.scenario.as_deref().unwrap_or("-");
+                write!(f, "{scenario:>14}")?;
+                for cell in &point.policies {
+                    write!(f, " {}", value(cell))?;
                 }
+                writeln!(f)?;
             }
-            writeln!(f)?;
-        }
+            Ok(())
+        };
+        table(f, "SLO attainment (%)", &|c| {
+            format!("{:>11.1}%", c.slo_attainment * 100.0)
+        })?;
+        table(f, "Mean CPU per request (millicores)", &|c| {
+            format!("{:>12.1}", c.mean_cpu_millicores)
+        })?;
         writeln!(
             f,
             "## Pooled E2E latency across all scenarios (ms, streaming)"
@@ -236,7 +131,7 @@ impl fmt::Display for ScenarioSweepResult {
             "{:>14} {:>9} {:>10} {:>10} {:>10}",
             "policy", "samples", "mean", "~P50", "~P99"
         )?;
-        for policy in &self.config.policies {
+        for policy in &spec.policies {
             match self.pooled_e2e_streaming(policy).and_then(|s| s.summary()) {
                 Some(s) => writeln!(
                     f,
@@ -250,60 +145,8 @@ impl fmt::Display for ScenarioSweepResult {
     }
 }
 
-/// Run the sweep against the built-in scenario registry.
-pub fn scenario_sweep(config: &ScenarioSweepConfig) -> Result<ScenarioSweepResult, String> {
-    scenario_sweep_with(&ScenarioRegistry::with_builtins(), config)
-}
-
-/// Run the sweep against a custom scenario registry (for sweeps over
-/// downstream-registered arrival processes).
-pub fn scenario_sweep_with(
-    registry: &ScenarioRegistry,
-    config: &ScenarioSweepConfig,
-) -> Result<ScenarioSweepResult, String> {
-    if config.scenarios.is_empty() {
-        return Err("sweep needs at least one scenario".into());
-    }
-    // One session per scenario, fanned out across threads. Sessions are
-    // seed-deterministic, so the parallel sweep is reproducible and its
-    // result order follows configuration order (the shim's parallel map is
-    // order-preserving).
-    let cells: Vec<Result<ScenarioCell, String>> = config
-        .scenarios
-        .clone()
-        .into_par_iter()
-        .map(|scenario| {
-            let report = ServingSession::builder()
-                .app(config.app)
-                .concurrency(config.concurrency)
-                .policies(config.policies.clone())
-                .load(Load::Open {
-                    requests: config.requests,
-                    rps: config.rps,
-                })
-                .scenario_registry(registry.clone())
-                .scenario(&scenario)
-                .seed(config.seed)
-                .samples_per_point(config.samples_per_point)
-                .budget_step_ms(config.budget_step_ms)
-                .run()
-                .map_err(|e| format!("scenario `{scenario}`: {e}"))?;
-            Ok(ScenarioCell { scenario, report })
-        })
-        .collect();
-    let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let result = ScenarioSweepResult {
-        config: config.clone(),
-        cells,
-    };
-    result.validate()?;
-    Ok(result)
-}
-
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
-
-/// `scenarios` as a registered [`Experiment`]: the IA scenario × policy
-/// sweep at the configured scale.
+/// `scenarios` as a registered [`Experiment`]: the committed IA scenario ×
+/// policy sweep at the configured scale.
 pub struct ScenarioSweepExperiment;
 
 impl Experiment for ScenarioSweepExperiment {
@@ -316,8 +159,9 @@ impl Experiment for ScenarioSweepExperiment {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(scenario_sweep(
-            &ctx.scenario_sweep(PaperApp::IntelligentAssistant),
+        let spec = ctx.sweep_spec(PAPER_SPEC, QUICK_SPEC)?;
+        Ok(ExperimentOutput::single(ScenarioSweepResult::new(
+            run_sweep(&spec)?,
         )?))
     }
 }
@@ -325,31 +169,43 @@ impl Experiment for ScenarioSweepExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::SweepSpec;
+    use std::str::FromStr as _;
+
+    fn tiny_spec(scenarios: &[&str], policies: &[&str], requests: usize) -> SweepSpec {
+        SweepSpec {
+            name: "tiny".into(),
+            scenarios: scenarios.iter().map(|s| s.to_string()).collect(),
+            policies: policies.iter().map(|p| p.to_string()).collect(),
+            loads_rps: vec![2.0],
+            requests,
+            samples_per_point: 250,
+            budget_step_ms: 10.0,
+            ..SweepSpec::from_str(QUICK_SPEC).unwrap()
+        }
+    }
+
+    fn sweep(spec: &SweepSpec) -> Result<ScenarioSweepResult, String> {
+        ScenarioSweepResult::new(run_sweep(spec)?)
+    }
 
     #[test]
     fn sweep_covers_the_grid_with_paired_invariant_checked_cells() {
-        let config = ScenarioSweepConfig {
-            scenarios: vec!["poisson".into(), "flash-crowd".into(), "bursty".into()],
-            policies: vec!["GrandSLAM".into(), "Janus".into()],
-            requests: 40,
-            rps: 2.0,
-            samples_per_point: 250,
-            budget_step_ms: 10.0,
-            ..ScenarioSweepConfig::quick(PaperApp::IntelligentAssistant)
-        };
-        let result = scenario_sweep(&config).unwrap();
-        assert_eq!(result.cells.len(), 3);
-        result.validate().unwrap();
+        let spec = tiny_spec(
+            &["poisson", "flash-crowd", "bursty"],
+            &["GrandSLAM", "Janus"],
+            40,
+        );
+        let result = sweep(&spec).unwrap();
+        assert_eq!(result.sweep.points.len(), 3);
         for scenario in ["poisson", "flash-crowd", "bursty"] {
+            let cell = result.cell(scenario).unwrap();
             for policy in ["GrandSLAM", "Janus"] {
-                let attainment = result.attainment(scenario, policy).unwrap();
+                let attainment = cell.slo_attainment(policy).unwrap();
                 assert!((0.0..=1.0).contains(&attainment), "{scenario}/{policy}");
-                assert!(result.mean_cpu(scenario, policy).unwrap() > 0.0);
+                assert!(cell.mean_cpu_millicores(policy).unwrap() > 0.0);
             }
-            assert_eq!(
-                result.cell(scenario).unwrap().scenario.as_deref(),
-                Some(scenario)
-            );
+            assert_eq!(cell.scenario.as_deref(), Some(scenario));
         }
         // Shape matters: at least one scenario serves differently from the
         // constant-rate baseline.
@@ -365,9 +221,11 @@ mod tests {
         let pooled = result.pooled_e2e_streaming("Janus").unwrap();
         assert_eq!(pooled.count(), 3 * 40);
         let exact_mean: f64 = result
-            .cells
+            .sweep
+            .points
             .iter()
-            .map(|c| c.report.serving("Janus").unwrap().e2e_summary().unwrap())
+            .map(|p| p.live_report().unwrap().serving("Janus").unwrap())
+            .map(|s| s.e2e_summary().unwrap())
             .map(|s| s.mean * s.count as f64)
             .sum::<f64>()
             / pooled.count() as f64;
@@ -377,32 +235,28 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_rejects_bad_grids() {
-        let config = ScenarioSweepConfig {
-            scenarios: vec!["diurnal".into()],
-            policies: vec!["GrandSLAM".into()],
-            requests: 25,
-            rps: 2.0,
-            samples_per_point: 250,
-            budget_step_ms: 10.0,
-            ..ScenarioSweepConfig::quick(PaperApp::IntelligentAssistant)
-        };
-        let a = scenario_sweep(&config).unwrap();
-        let b = scenario_sweep(&config).unwrap();
+        let spec = tiny_spec(&["diurnal"], &["GrandSLAM"], 25);
+        let a = sweep(&spec).unwrap();
+        let b = sweep(&spec).unwrap();
         assert_eq!(
             a.cell("diurnal").unwrap().serving("GrandSLAM"),
             b.cell("diurnal").unwrap().serving("GrandSLAM")
         );
-        let err = scenario_sweep(&ScenarioSweepConfig {
+        let err = sweep(&SweepSpec {
             scenarios: vec![],
-            ..config.clone()
+            ..spec.clone()
         })
         .unwrap_err();
-        assert!(err.contains("at least one scenario"), "{err}");
-        let err = scenario_sweep(&ScenarioSweepConfig {
-            scenarios: vec!["tsunami".into()],
-            ..config
-        })
-        .unwrap_err();
+        assert!(err.contains("`scenarios`: axis must not be empty"), "{err}");
+        let err = sweep(&tiny_spec(&["tsunami"], &["GrandSLAM"], 25)).unwrap_err();
         assert!(err.contains("unknown scenario"), "{err}");
+        // A replayed point carries no per-request outcomes to pool.
+        let mut replayed = a.sweep.clone();
+        replayed.points[0].report = None;
+        let err = ScenarioSweepResult::new(replayed).unwrap_err();
+        assert!(
+            err.contains("diurnal x 2 rps x seed 7) has no live report"),
+            "{err}"
+        );
     }
 }

@@ -107,6 +107,22 @@ impl SessionSpec {
         builder
     }
 
+    /// Every set axis of the point joined with ` x `: scenario, rate,
+    /// seed, autoscaler, admission, fault and observer. Progress lines and
+    /// errors use it to name the point.
+    pub fn axis_label(&self) -> String {
+        let axes = [
+            self.scenario.clone(),
+            self.rps.map(|r| format!("{r} rps")),
+            Some(format!("seed {}", self.seed)),
+            self.autoscaler.clone(),
+            self.admission.clone(),
+            self.fault.clone(),
+            self.observer.clone(),
+        ];
+        axes.into_iter().flatten().collect::<Vec<_>>().join(" x ")
+    }
+
     /// Encode as a JSON object (optional fields omitted when unset).
     pub fn to_json(&self) -> Value {
         let mut members = vec![

@@ -1,7 +1,8 @@
 //! The generic sweep driver: execute a [`SweepSpec`] grid in parallel.
 //!
-//! [`run_sweep`] is the engine behind `janus sweep <spec.json>` — the
-//! data-driven generalization of the hand-written scenario/capacity sweeps.
+//! [`run_sweep`] is the engine behind `janus sweep <spec.json>` and behind
+//! the `scenarios`, `capacity` and `chaos_resilience` experiments, which
+//! serve their committed specs under `specs/experiments/`.
 //! The spec's axes expand into [`SessionSpec`] grid points
 //! (scenario-major, then load, seed, autoscaler, admission); every point is
 //! one paired, invariant-checked [`ServingSession`]. Points fan out across
@@ -54,7 +55,9 @@ use std::time::Instant;
 /// change — scheduler behaviour, metric definitions, scenario generators —
 /// so every previously stored cell stops matching at once. Old-epoch files
 /// are unreachable rather than invalid: the epoch is inside the hash, so a
-/// stale file is simply never looked up again.
+/// stale file is simply never looked up again. `specs/results_epoch.txt`
+/// pins the epoch next to a digest of the cells of `specs/chaos_grid.json`;
+/// a test fails when those cells move while the epoch does not.
 pub const RESULTS_EPOCH: u32 = 1;
 
 /// How a results store participates in a sweep.
@@ -250,22 +253,16 @@ impl SweepPoint {
     /// One-line progress summary (`janus sweep` streams these as points
     /// complete).
     pub fn progress_line(&self, total: usize) -> String {
-        let axes = [
-            self.session.scenario.as_deref().map(|s| s.to_string()),
-            self.session.rps.map(|r| format!("{r} rps")),
-            Some(format!("seed {}", self.session.seed)),
-            self.session.autoscaler.as_deref().map(str::to_string),
-            self.session.admission.as_deref().map(str::to_string),
-            self.session.fault.as_deref().map(str::to_string),
-            self.session.observer.as_deref().map(str::to_string),
-        ];
-        let axes: Vec<String> = axes.into_iter().flatten().collect();
         let cost = if self.cached {
             "cached".to_string()
         } else {
             format!("{:.0} ms", self.wall_ms)
         };
-        format!("[{}/{total}] {} ({cost})", self.index + 1, axes.join(" x "))
+        format!(
+            "[{}/{total}] {} ({cost})",
+            self.index + 1,
+            self.session.axis_label()
+        )
     }
 }
 
@@ -544,14 +541,8 @@ pub fn run_sweep_stored(
             for (index, session_spec) in stripe {
                 // janus-lint: allow(nondeterminism) — per-point wall cost for progress lines only
                 let point_started = Instant::now();
-                let context = |e: String| {
-                    format!(
-                        "point {index} (scenario `{}`, {} rps, seed {}): {e}",
-                        session_spec.scenario.as_deref().unwrap_or("-"),
-                        session_spec.rps.unwrap_or(f64::NAN),
-                        session_spec.seed
-                    )
-                };
+                let context =
+                    |e: String| format!("point {index} ({}): {e}", session_spec.axis_label());
                 let session = session_spec.builder().build().map_err(context)?;
                 let report = session
                     .run_in(&mut arena, &metrics_registry, &metrics)
@@ -895,7 +886,15 @@ mod tests {
                 Some("zone-outage"),
             )
             .unwrap();
-        assert!(point.progress_line(1).contains("zone-outage"));
+        // Progress lines (and point errors) name every set axis of a chaos
+        // point, capacity controls and fault included.
+        let line = point.progress_line(1);
+        assert!(
+            line.starts_with(
+                "[1/1] flash-crowd x 6 rps x seed 7 x static x admit-all x zone-outage ("
+            ),
+            "{line}"
+        );
         let capacity = point
             .live_report()
             .unwrap()

@@ -30,7 +30,8 @@
 //!   pluggable arrival processes (`poisson`, `diurnal`, `bursty`,
 //!   `flash-crowd`, `trace-replay`) behind an open `ScenarioRegistry`,
 //!   selected per session with `.scenario(..)` / `.arrivals(..)` and swept
-//!   against the policy grid by [`fn@experiments::scenario_sweep`].
+//!   against the policy grid by [`run_sweep`](experiments::run_sweep) (the
+//!   `scenarios` experiment is the committed scenario × policy spec).
 //! * [`JanusDeployment`] — the end-to-end pipeline (profile → synthesize →
 //!   deploy adapter) for one workflow, concurrency and SLO.
 //! * [`JanusPolicy`] — the resulting late-binding

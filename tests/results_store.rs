@@ -2,10 +2,13 @@
 //! store: a sweep killed mid-grid leaves a partial results directory; a
 //! `--resume` run must execute exactly the missing cells and still produce
 //! a byte-identical aggregate, and `janus report` must aggregate the
-//! completed directory.
+//! completed directory. The cache epoch is pinned against the cell
+//! semantics, so a change to what a cell holds cannot keep replaying stale
+//! cells.
 
 use janus_core::experiments::{
-    run_sweep_stored, ResultsReport, StoreMode, SweepPoint, SweepSpec, ToJson,
+    run_sweep, run_sweep_stored, ResultsReport, StoreMode, SweepPoint, SweepSpec, ToJson,
+    RESULTS_EPOCH,
 };
 use janus_results::ResultsStore;
 use std::path::{Path, PathBuf};
@@ -157,4 +160,38 @@ fn report_aggregates_a_completed_results_directory() {
         .starts_with("scenario,rps,seed,"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn results_epoch_moves_whenever_the_cell_semantics_do() {
+    // `specs/results_epoch.txt` pins `RESULTS_EPOCH` next to the SHA-256 of
+    // every `PolicyCell` document of the committed chaos grid, whose points
+    // cover the scenario, capacity and fault fields. A change that moves
+    // the published cells must bump the epoch, or every `--results`
+    // directory would keep replaying cells the code no longer produces.
+    let root = format!("{}/../../specs", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(format!("{root}/chaos_grid.json")).unwrap();
+    let result = run_sweep(&SweepSpec::from_str(&text).unwrap()).unwrap();
+    let cells: Vec<String> = result
+        .points
+        .iter()
+        .flat_map(|point| &point.policies)
+        .map(|cell| cell.to_json().to_compact())
+        .collect();
+    let digest = janus_results::sha256_hex(cells.join("\n").as_bytes());
+    let actual = format!("{RESULTS_EPOCH}  RESULTS_EPOCH\n{digest}  specs/chaos_grid.json\n");
+
+    let path = format!("{root}/results_epoch.txt");
+    let committed = std::fs::read_to_string(&path).unwrap();
+    let committed_epoch = committed.split_whitespace().next().unwrap_or("");
+    assert!(
+        committed_epoch != RESULTS_EPOCH.to_string() || committed == actual,
+        "the cells of specs/chaos_grid.json changed while RESULTS_EPOCH stayed at \
+         {RESULTS_EPOCH}: bump RESULTS_EPOCH in crates/core/src/experiments/sweep.rs, then \
+         refresh {path} with the bumped epoch and the new digest {digest}"
+    );
+    assert_eq!(
+        committed, actual,
+        "RESULTS_EPOCH moved: refresh {path} with the new text"
+    );
 }

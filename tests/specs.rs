@@ -1,14 +1,30 @@
 //! End-to-end tests of the declarative experiment surface: the golden spec
-//! files under `specs/` decode, run, and reproduce — bit for bit — what the
-//! pre-redesign hand-written sweeps computed.
+//! files under `specs/` decode, run, and reproduce — bit for bit — what a
+//! fresh session per grid point computes.
 
-use janus_core::experiments::{run_sweep, scenario_sweep, ScenarioSweepConfig, SweepSpec, ToJson};
+use janus_core::experiments::{run_sweep, SweepSpec, ToJson};
 use janus_core::session::{Load, ServingSession};
 use janus_observe::TraceReport;
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
 use std::str::FromStr as _;
+
+/// Every committed spec file, relative to the repo-root `specs/` directory.
+const COMMITTED_SPECS: [&str; 12] = [
+    "smoke.json",
+    "scenario_policy.json",
+    "capacity_grid.json",
+    "chaos_grid.json",
+    "observe_grid.json",
+    "multi_tenant.json",
+    "experiments/scenarios.json",
+    "experiments/scenarios.quick.json",
+    "experiments/capacity.json",
+    "experiments/capacity.quick.json",
+    "experiments/chaos_resilience.json",
+    "experiments/chaos_resilience.quick.json",
+];
 
 /// Read a committed spec file from the repo-root `specs/` directory.
 fn golden_spec(file: &str) -> SweepSpec {
@@ -48,63 +64,50 @@ fn smoke_spec_runs_end_to_end_and_is_deterministic() {
 }
 
 #[test]
-fn scenario_policy_spec_reproduces_the_handwritten_sweep_bit_for_bit() {
-    // The committed spec describes the same grid the hand-written
-    // `scenario_sweep` runner (PR 2) computes. The spec-driven driver must
-    // reproduce it exactly — same serving outcomes, same pooled metrics —
-    // even though it runs through `SessionSpec::builder` and reuses one
-    // arena + interned handles across grid points.
-    let spec = golden_spec("scenario_policy.json");
-    assert_eq!(spec.loads_rps.len(), 1);
-    assert_eq!(spec.seeds.len(), 1);
-    let config = ScenarioSweepConfig {
-        app: PaperApp::IntelligentAssistant,
-        concurrency: spec.concurrency,
-        scenarios: spec.scenarios.clone(),
-        policies: spec.policies.clone(),
-        requests: spec.requests,
-        rps: spec.loads_rps[0],
-        seed: spec.seeds[0],
-        samples_per_point: spec.samples_per_point,
-        budget_step_ms: spec.budget_step_ms,
-    };
-    let handwritten = scenario_sweep(&config).unwrap();
-    let spec_driven = run_sweep(&spec).unwrap();
-    assert_eq!(spec_driven.points.len(), handwritten.cells.len());
-    for (point, cell) in spec_driven.points.iter().zip(&handwritten.cells) {
-        assert_eq!(
-            point.session.scenario.as_deref(),
-            Some(cell.scenario.as_str())
-        );
-        let report = point.live_report().unwrap();
-        assert_eq!(report.scenario, cell.report.scenario);
-        assert_eq!(report.names(), cell.report.names());
-        for policy in &spec.policies {
+fn every_committed_spec_reproduces_fresh_sessions_bit_for_bit() {
+    // The sweep driver runs each worker's points through one reused arena
+    // and one set of interned metric handles. Every point of every
+    // committed spec must still serve exactly what a fresh session built
+    // from the same point spec serves — under capacity control, faults,
+    // observers and tenants alike.
+    for file in COMMITTED_SPECS {
+        let spec = golden_spec(file);
+        let swept = run_sweep(&spec).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(swept.points.len(), spec.grid_size(), "{file}");
+        for point in &swept.points {
+            let at = format!("{file} ({})", point.session.axis_label());
+            let fresh = point
+                .session
+                .builder()
+                .run()
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let report = point.live_report().unwrap();
+            assert_eq!(report.names(), fresh.names(), "{at}");
+            for policy in &spec.policies {
+                assert_eq!(
+                    report.serving(policy).unwrap(),
+                    fresh.serving(policy).unwrap(),
+                    "{at} / policy `{policy}`: the swept point diverged from a fresh session"
+                );
+                // Synthesis artefacts match on everything but wall-clock time.
+                let synth = |r: &janus_core::session::SessionReport| {
+                    r.report(policy).unwrap().synthesis.as_ref().map(|s| {
+                        (
+                            s.raw_hints,
+                            s.condensed_hints,
+                            s.compression_ratio.to_bits(),
+                            s.variant.clone(),
+                        )
+                    })
+                };
+                assert_eq!(synth(report), synth(&fresh), "{at} / policy `{policy}`");
+            }
             assert_eq!(
-                report.serving(policy).unwrap(),
-                cell.report.serving(policy).unwrap(),
-                "scenario `{}` / policy `{policy}` diverged from the \
-                 pre-redesign sweep",
-                cell.scenario
+                report.metrics, fresh.metrics,
+                "{at}: pooled hot-path metrics diverged"
             );
-            // Synthesis artefacts match on everything but wall-clock time.
-            let synth = |r: &janus_core::session::SessionReport| {
-                r.report(policy).unwrap().synthesis.as_ref().map(|s| {
-                    (
-                        s.raw_hints,
-                        s.condensed_hints,
-                        s.compression_ratio.to_bits(),
-                        s.variant.clone(),
-                    )
-                })
-            };
-            assert_eq!(synth(report), synth(&cell.report));
+            assert_eq!(report.trace(), fresh.trace(), "{at}: traces diverged");
         }
-        assert_eq!(
-            report.metrics, cell.report.metrics,
-            "scenario `{}`: pooled hot-path metrics diverged",
-            cell.scenario
-        );
     }
 }
 
@@ -495,14 +498,7 @@ fn multi_tenant_spec_merges_streams_at_every_point() {
 
 #[test]
 fn every_committed_spec_decodes_and_reencodes_canonically() {
-    for file in [
-        "smoke.json",
-        "scenario_policy.json",
-        "capacity_grid.json",
-        "chaos_grid.json",
-        "observe_grid.json",
-        "multi_tenant.json",
-    ] {
+    for file in COMMITTED_SPECS {
         let spec = golden_spec(file);
         spec.validate().unwrap_or_else(|e| panic!("{file}: {e}"));
         // Encode → decode → encode is stable, so artefacts embedding the
