@@ -48,6 +48,7 @@ pub use report::{qualify_policy, PolicyTrace, TraceReport};
 use janus_json::Value;
 use janus_simcore::registry::{BuildKind, Registry, RegistryKind};
 use janus_simcore::time::{SimDuration, SimTime};
+use janus_simcore::FixedState;
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — request-keyed span index; report rows are sorted by id before any output
 use std::collections::{HashMap, VecDeque};
@@ -655,7 +656,7 @@ impl SpanSummary {
 /// single pending cold-start slot per request suffices.
 #[derive(Debug, Clone, Default)]
 pub struct SpanBuilder {
-    open: HashMap<u64, OpenSpan>,
+    open: HashMap<u64, OpenSpan, FixedState>,
     arrivals: u64,
     served: u64,
     shed: u64,

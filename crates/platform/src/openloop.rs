@@ -55,6 +55,7 @@ use janus_simcore::pool::{PoolConfig, PoolManager};
 use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::{SimDuration, SimTime};
+use janus_simcore::FixedState;
 use janus_workloads::request::{RequestInput, RequestSource, SliceSource};
 use janus_workloads::workflow::Workflow;
 use serde::{Deserialize, Serialize};
@@ -146,7 +147,7 @@ struct FaultRuntime {
     events: Vec<FaultEvent>,
     cursor: usize,
     rng: SimRng,
-    lost_pods: HashSet<PodId>,
+    lost_pods: HashSet<PodId, FixedState>,
     /// Preempted nodes and the instant their termination notice expires.
     preempt_deadlines: Vec<(NodeId, SimTime)>,
     /// Degraded nodes: `(node, service-time factor, degraded until)`.
@@ -164,7 +165,7 @@ impl FaultRuntime {
             rng: SimRng::seed_from_u64(schedule.victim_seed),
             events: schedule.events,
             cursor: 0,
-            lost_pods: HashSet::new(),
+            lost_pods: HashSet::default(),
             preempt_deadlines: Vec::new(),
             slow: Vec::new(),
             applied: 0,
@@ -266,7 +267,7 @@ struct InFlight {
 #[derive(Debug)]
 pub struct OpenLoopArena {
     engine: Engine<Event>,
-    inflight: HashMap<u64, InFlight>,
+    inflight: HashMap<u64, InFlight, FixedState>,
     peak_resident: usize,
 }
 
@@ -288,7 +289,7 @@ impl OpenLoopArena {
     pub fn with_engine_config(config: EngineConfig) -> Self {
         OpenLoopArena {
             engine: Engine::new(config),
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             peak_resident: 0,
         }
     }
@@ -858,7 +859,7 @@ impl OpenLoopSimulation {
         &self,
         rt: &mut FaultRuntime,
         policy: &mut dyn SizingPolicy,
-        inflight: &mut HashMap<u64, InFlight>,
+        inflight: &mut HashMap<u64, InFlight, FixedState>,
         on_outcome: &mut dyn FnMut(RequestOutcome),
         now: SimTime,
         pool: &mut PoolManager,
@@ -952,7 +953,7 @@ impl OpenLoopSimulation {
         }
         lost.sort_unstable();
         pool.drop_lost(&lost);
-        let lost_set: HashSet<PodId> = lost.into_iter().collect();
+        let lost_set: HashSet<PodId, FixedState> = lost.into_iter().collect();
         let mut affected: Vec<u64> = inflight
             .iter()
             .filter(|(_, s)| s.current_pod.is_some_and(|p| lost_set.contains(&p)))
@@ -1034,7 +1035,7 @@ impl OpenLoopSimulation {
     fn start_function(
         &self,
         policy: &mut dyn SizingPolicy,
-        inflight: &mut HashMap<u64, InFlight>,
+        inflight: &mut HashMap<u64, InFlight, FixedState>,
         request_id: u64,
         index: usize,
         now: SimTime,

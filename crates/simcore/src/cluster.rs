@@ -16,6 +16,7 @@ use crate::error::SimError;
 use crate::node::{Node, NodeId};
 use crate::pod::PodId;
 use crate::resources::Millicores;
+use crate::FixedState;
 use crate::SimResult;
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — pod→node index for keyed lookup only; outputs iterate nodes by Vec order (golden trace holds)
@@ -114,7 +115,7 @@ pub struct Cluster {
     node_zones: Vec<usize>,
     zone_count: usize,
     placement: PlacementPolicy,
-    pod_to_node: HashMap<PodId, NodeId>,
+    pod_to_node: HashMap<PodId, NodeId, FixedState>,
 }
 
 impl Cluster {
@@ -132,7 +133,7 @@ impl Cluster {
             node_zones,
             zone_count: config.zones,
             placement: config.placement,
-            pod_to_node: HashMap::new(),
+            pod_to_node: HashMap::default(),
         })
     }
 

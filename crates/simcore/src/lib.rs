@@ -66,5 +66,15 @@ pub use rng::SimRng;
 pub use stats::{percentile, Cdf, RunningStats, StreamingSummary, Summary};
 pub use time::{SimDuration, SimTime};
 
+/// Fixed-key hasher state for the simulator's keyed lookup tables.
+///
+/// `RandomState` draws fresh keys per process, and the keys decide where a
+/// removal leaves a tombstone and so when a table grows. No output depends
+/// on that, but the allocation counts `tests/perf_counters.rs` pins would:
+/// with fixed keys they are the same in every process. The keys hashed are
+/// pod and request ids and workflow function names the program builds
+/// itself, so collision-flooding protection buys nothing here.
+pub type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+
 /// Result alias used across the simulator substrate.
 pub type SimResult<T> = Result<T, SimError>;

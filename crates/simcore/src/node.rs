@@ -8,6 +8,7 @@
 use crate::error::SimError;
 use crate::pod::PodId;
 use crate::resources::Millicores;
+use crate::FixedState;
 use crate::SimResult;
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — per-node pod map for keyed lookup only; capacity math folds over values commutatively
@@ -30,9 +31,9 @@ pub struct Node {
     capacity: Millicores,
     allocated: Millicores,
     /// Allocation per pod currently placed here.
-    pods: HashMap<PodId, PodPlacement>,
+    pods: HashMap<PodId, PodPlacement, FixedState>,
     /// Number of pods per function name (for co-location interference).
-    per_function: HashMap<String, usize>,
+    per_function: HashMap<String, usize, FixedState>,
 }
 
 /// Book-keeping for one pod placed on a node.
@@ -49,8 +50,8 @@ impl Node {
             id,
             capacity,
             allocated: Millicores::ZERO,
-            pods: HashMap::new(),
-            per_function: HashMap::new(),
+            pods: HashMap::default(),
+            per_function: HashMap::default(),
         }
     }
 

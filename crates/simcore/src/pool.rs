@@ -8,6 +8,7 @@
 use crate::pod::{Pod, PodId, PodState};
 use crate::resources::Millicores;
 use crate::time::{SimDuration, SimTime};
+use crate::FixedState;
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — pod registry for keyed lookup; eviction/scheduling order comes from the VecDeque, never map iteration
 use std::collections::{HashMap, VecDeque};
@@ -63,11 +64,11 @@ pub struct PoolManager {
     /// Generic warm pods ready to be specialised.
     generic: VecDeque<PodId>,
     /// Idle pods already specialised, keyed by function.
-    warm_by_function: HashMap<String, VecDeque<PodId>>,
+    warm_by_function: HashMap<String, VecDeque<PodId>, FixedState>,
     /// All pods ever created, by id.
-    pods: HashMap<PodId, Pod>,
+    pods: HashMap<PodId, Pod, FixedState>,
     /// Last time each idle pod went idle (for recycling).
-    idle_since: HashMap<PodId, SimTime>,
+    idle_since: HashMap<PodId, SimTime, FixedState>,
     warm_hits: u64,
     cold_starts: u64,
 }
@@ -79,9 +80,9 @@ impl PoolManager {
             config,
             next_pod: 0,
             generic: VecDeque::new(),
-            warm_by_function: HashMap::new(),
-            pods: HashMap::new(),
-            idle_since: HashMap::new(),
+            warm_by_function: HashMap::default(),
+            pods: HashMap::default(),
+            idle_since: HashMap::default(),
             warm_hits: 0,
             cold_starts: 0,
         };
