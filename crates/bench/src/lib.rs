@@ -8,14 +8,10 @@
 //!   autoscaler and admission policy straight from the registries;
 //!   `janus run <experiment>` runs one of them; `janus sweep <spec.json>`
 //!   executes a declarative grid from a spec file; `janus all` regenerates
-//!   the full evaluation. The seventeen per-figure binaries this replaced
-//!   (`fig1a` … `table2`, `scenarios`, `capacity`, `perf`, `overhead`) are
-//!   gone — each one is now `janus run <same-name>`; `run_all` survives as a
-//!   thin alias for `janus all`.
-//! * **Criterion benches** (`benches/*.rs`) — micro-benchmarks of the system
-//!   costs the paper reports: online adaptation latency (§V-H), hint
-//!   synthesis time (Figure 6b), condensing, profiling throughput and
-//!   end-to-end serving under each policy.
+//!   the full evaluation. The per-figure binaries this replaced (`fig1a` …
+//!   `table2`, `scenarios`, `capacity`, `overhead`) are gone — each one is
+//!   now `janus run <same-name>`; `run_all` survives as a thin alias for
+//!   `janus all`.
 //!
 //! Every invocation accepts the shared [`BenchFlags`]: `--quick` (reduced
 //! scale for smoke runs), `--paper` (the default), `--seed N` (override the
@@ -217,8 +213,7 @@ impl BenchFlags {
         let mut doc = value.to_pretty();
         doc.push('\n');
         // Atomic (temp-file + rename): an interrupted run never truncates an
-        // existing artefact — in particular the appended BENCH_perf.json
-        // history keeps either the old entries or old + new, never neither.
+        // existing artefact.
         match janus_results::write_atomic(std::path::Path::new(path), &doc) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
-use super::perf::{rate_per_sec, MIN_WALL_MS};
+use super::sweep::{rate_per_sec, MIN_WALL_MS};
 
 /// Configuration of one flash-scale run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -12,7 +12,7 @@
 //! - [`sha256`]: self-contained FIPS 180-4 digest (the build is offline; no
 //!   crypto crate exists to depend on).
 //! - [`atomic`]: temp-file + rename writes, shared by the store and every
-//!   `--out`/perf-history artefact in the workspace.
+//!   `--out` artefact in the workspace.
 //! - [`store`]: the content-addressed directory itself, with strict
 //!   read-back validation so corruption is a loud error, never a silent
 //!   cache miss.
