@@ -61,8 +61,8 @@ pub struct LintConfig {
 
 impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
-    /// the per-event serving loops + `emit!` + metrics handles as hot
-    /// paths, and `Record` construction confined to observe and the macro.
+    /// the per-event serving loops + `emit!` + metrics handles + warm-pool
+    /// and placement bookkeeping as hot paths, and `Record` construction confined to observe and the macro.
     pub fn workspace_default() -> Self {
         let hot = |file_suffix: &str, item: &str| HotPath {
             file_suffix: file_suffix.to_string(),
@@ -89,6 +89,15 @@ impl LintConfig {
                 // these.
                 hot("simcore/src/metrics.rs", "incr"),
                 hot("simcore/src/metrics.rs", "record"),
+                // Warm-pool acquire/release and placement: every function
+                // start and completion runs these.
+                hot("simcore/src/pool.rs", "acquire"),
+                hot("simcore/src/pool.rs", "release"),
+                hot("simcore/src/node.rs", "place_overcommitted"),
+                hot("simcore/src/node.rs", "evict"),
+                hot("simcore/src/cluster.rs", "place"),
+                hot("simcore/src/cluster.rs", "remove"),
+                hot("simcore/src/cluster.rs", "colocation_degree"),
             ],
             record_construction_allowed: vec![
                 "crates/observe/src".to_string(),
@@ -424,6 +433,23 @@ impl Sim {
         let hits = run(hot_path_alloc, "crates/platform/src/lib.rs", emit);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("`to_string`"), "{:?}", hits[0]);
+        // Placement bookkeeping is a hot path too; its error text belongs
+        // in a cold helper.
+        let place = "\
+impl Cluster {
+    fn place(&mut self, pod: PodId) -> SimResult<NodeId> {
+        self.pick().ok_or_else(|| SimError::UnknownEntity(format!(\"{pod}\")))
+    }
+}
+
+fn unknown_pod(pod: PodId) -> SimError {
+    SimError::UnknownEntity(format!(\"{pod}\"))
+}
+";
+        let hits = run(hot_path_alloc, "crates/simcore/src/cluster.rs", place);
+        assert_eq!(hits.len(), 1, "{hits:#?}");
+        assert!(hits[0].message.contains("`place`"), "{:?}", hits[0]);
+        assert_eq!(hits[0].line, 3);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState};
 use janus_simcore::engine::{Engine, EngineConfig};
 use janus_simcore::interference::InterferenceModel;
 use janus_simcore::node::NodeId;
-use janus_simcore::pod::PodId;
+use janus_simcore::pod::{FunctionId, PodId};
 use janus_simcore::pool::{PoolConfig, PoolManager};
 use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
@@ -1065,17 +1065,17 @@ impl OpenLoopSimulation {
             .function(index)
             // janus-lint: allow(unwrap-discipline) — callers advance index only while < workflow.len()
             .expect("index within workflow");
-        let acquisition = pool.acquire(function.name(), size, now);
-        let _ = cluster.resize(acquisition.pod, size);
-        let overcommitted = if cluster.node_of(acquisition.pod).is_none()
-            && cluster
-                .place(acquisition.pod, function.name(), size)
-                .is_err()
-        {
+        // Function names are unique in a workflow: the position interns it.
+        let function_id = FunctionId::from_index(index);
+        let acquisition = pool.acquire(function_id, size, now);
+        let overcommitted = if cluster.node_of(acquisition.pod).is_some() {
+            let _ = cluster.resize(acquisition.pod, size);
+            false
+        } else if cluster.place(acquisition.pod, function_id, size).is_err() {
             // Saturated cluster: overcommit the least-loaded node rather
             // than dropping the request. The pod runs, but it contends —
             // overload shows up as interference, not as free capacity.
-            let _ = cluster.place_overcommitted(acquisition.pod, function.name(), size);
+            let _ = cluster.place_overcommitted(acquisition.pod, function_id, size);
             true
         } else {
             false
@@ -1089,7 +1089,7 @@ impl OpenLoopSimulation {
                 overcommitted,
             }
         );
-        let colocated = cluster.colocation_degree(acquisition.pod, function.name());
+        let colocated = cluster.colocation_degree(acquisition.pod, function_id);
         let mut exec = function.execution_time(
             size,
             self.config.concurrency,

@@ -14,7 +14,7 @@
 
 use crate::error::SimError;
 use crate::node::{Node, NodeId};
-use crate::pod::PodId;
+use crate::pod::{FunctionId, PodId};
 use crate::resources::Millicores;
 use crate::FixedState;
 use crate::SimResult;
@@ -106,6 +106,12 @@ impl ClusterConfig {
 /// The fleet is **dynamic**: nodes can be added and drained at run time.
 /// Retired nodes keep their slot (a [`NodeId`] is an index and is never
 /// reused) but contribute neither capacity nor placement targets.
+///
+/// Everything a placement reads is maintained incrementally: the id-ordered
+/// lists of live and active slots change only when a node changes state,
+/// and the per-zone instance count of every function changes with each
+/// placement and eviction. A placement therefore costs one pass over the
+/// active nodes, however many slots an autoscaled run has created.
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<Node>,
@@ -116,6 +122,14 @@ pub struct Cluster {
     zone_count: usize,
     placement: PlacementPolicy,
     pod_to_node: HashMap<PodId, NodeId, FixedState>,
+    /// Non-retired (active + draining) slots, in id order.
+    live: Vec<usize>,
+    /// Active slots (placement targets), in id order.
+    active: Vec<usize>,
+    /// Instances of each function hosted per zone, indexed
+    /// `[zone][function]`. Only empty nodes retire, so this equals the count
+    /// over the zone's non-retired nodes.
+    zone_functions: Vec<Vec<u32>>,
 }
 
 impl Cluster {
@@ -134,35 +148,27 @@ impl Cluster {
             zone_count: config.zones,
             placement: config.placement,
             pod_to_node: HashMap::default(),
+            live: (0..config.nodes).collect(),
+            active: (0..config.nodes).collect(),
+            zone_functions: vec![Vec::new(); config.zones],
         })
     }
 
     /// Number of non-retired (active + draining) nodes.
     pub fn node_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| **s != NodeState::Retired)
-            .count()
+        self.live.len()
     }
 
     /// Number of active nodes (placement targets).
     pub fn active_node_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| **s == NodeState::Active)
-            .count()
+        self.active.len()
     }
 
     /// Ids of active nodes (placement targets), in id order. The stable
     /// ordering makes seed-driven victim selection (fault injection)
     /// reproducible.
     pub fn active_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.states[*i] == NodeState::Active)
-            .map(|(_, n)| n.id())
-            .collect()
+        self.active.iter().map(|&i| self.nodes[i].id()).collect()
     }
 
     /// Access a node by id (including draining and retired nodes).
@@ -184,10 +190,14 @@ impl Cluster {
                 "node capacity must be positive".into(),
             ));
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.node_zones.push(self.nodes.len() % self.zone_count);
+        let idx = self.nodes.len();
+        let id = NodeId(idx as u32);
+        self.node_zones.push(idx % self.zone_count);
         self.nodes.push(Node::new(id, capacity));
         self.states.push(NodeState::Active);
+        // The new slot has the highest id, so both lists stay in id order.
+        self.live.push(idx);
+        self.active.push(idx);
         Ok(id)
     }
 
@@ -206,52 +216,40 @@ impl Cluster {
     /// capacity tick (a zone outage shows up as its column dropping to 0).
     pub fn active_nodes_per_zone(&self) -> Vec<usize> {
         let mut per_zone = vec![0usize; self.zone_count];
-        for (i, state) in self.states.iter().enumerate() {
-            if *state == NodeState::Active {
-                per_zone[self.node_zones[i]] += 1;
-            }
+        for &i in &self.active {
+            per_zone[self.node_zones[i]] += 1;
         }
         per_zone
     }
 
     /// Ids of non-retired nodes in `zone`.
     pub fn zone_nodes(&self, zone: usize) -> Vec<NodeId> {
-        self.nodes
+        self.live
             .iter()
-            .enumerate()
-            .filter(|(i, _)| self.node_zones[*i] == zone && self.states[*i] != NodeState::Retired)
-            .map(|(_, n)| n.id())
+            .filter(|&&i| self.node_zones[i] == zone)
+            .map(|&i| self.nodes[i].id())
             .collect()
     }
 
     /// Abruptly kill a node: every hosted pod is lost on the spot (no
     /// draining), the node retires immediately and its [`NodeId`] is never
-    /// reused. Returns the `(pod, function)` pairs that were lost so the
-    /// caller can fail or retry the in-flight work and drop the pods from
-    /// any warm-pool tracking. Crashing a draining node is allowed; retired
-    /// or unknown nodes are an error.
-    pub fn crash_node(&mut self, id: NodeId) -> SimResult<Vec<(PodId, String)>> {
-        let idx = id.0 as usize;
-        match self.states.get(idx) {
-            None => return Err(SimError::UnknownEntity(format!("{id}"))),
-            Some(NodeState::Retired) => {
-                return Err(SimError::InvalidTransition {
-                    entity: format!("{id}"),
-                    detail: "crash of a retired node".into(),
-                })
-            }
-            Some(NodeState::Active) | Some(NodeState::Draining) => {}
-        }
-        let mut lost: Vec<(PodId, String)> = self.nodes[idx]
+    /// reused. Returns the `(pod, function)` pairs that were lost, in pod
+    /// order, so the caller can fail or retry the in-flight work and drop
+    /// the pods from any warm-pool tracking. Crashing a draining node is
+    /// allowed; retired or unknown nodes are an error.
+    pub fn crash_node(&mut self, id: NodeId) -> SimResult<Vec<(PodId, FunctionId)>> {
+        let idx = self.retirable(id, "crash")?;
+        let mut lost: Vec<(PodId, FunctionId)> = self.nodes[idx]
             .pods()
-            .map(|(pod, function, _)| (pod, function.to_string()))
+            .map(|(pod, function, _)| (pod, function))
             .collect();
         lost.sort_by_key(|(pod, _)| *pod);
         for (pod, _) in &lost {
-            self.nodes[idx].evict(*pod)?;
+            self.evict(idx, *pod)?;
             self.pod_to_node.remove(pod);
         }
-        self.states[idx] = NodeState::Retired;
+        self.leave_active(idx);
+        self.retire(idx);
         Ok(lost)
     }
 
@@ -260,19 +258,23 @@ impl Cluster {
     /// immediately (it hosted nothing). Draining an already-draining node is
     /// a no-op; retired or unknown nodes are an error.
     pub fn drain_node(&mut self, id: NodeId) -> SimResult<bool> {
+        let idx = self.retirable(id, "drain")?;
+        self.leave_active(idx);
+        Ok(self.try_retire(idx))
+    }
+
+    /// The slot of a node that may still crash or drain: an error for
+    /// unknown and retired nodes.
+    fn retirable(&self, id: NodeId, action: &str) -> SimResult<usize> {
         let idx = id.0 as usize;
         match self.states.get(idx) {
-            None => return Err(SimError::UnknownEntity(format!("{id}"))),
-            Some(NodeState::Retired) => {
-                return Err(SimError::InvalidTransition {
-                    entity: format!("{id}"),
-                    detail: "drain of a retired node".into(),
-                })
-            }
-            Some(NodeState::Active) | Some(NodeState::Draining) => {}
+            None => Err(SimError::UnknownEntity(format!("{id}"))),
+            Some(NodeState::Retired) => Err(SimError::InvalidTransition {
+                entity: format!("{id}"),
+                detail: format!("{action} of a retired node"),
+            }),
+            Some(NodeState::Active) | Some(NodeState::Draining) => Ok(idx),
         }
-        self.states[idx] = NodeState::Draining;
-        Ok(self.try_retire(idx))
     }
 
     /// Drain the `count` least-allocated active nodes, never dropping the
@@ -284,31 +286,47 @@ impl Cluster {
             if self.active_node_count() <= min_active.max(1) {
                 break;
             }
-            let Some(idx) = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.states[*i] == NodeState::Active)
-                .min_by_key(|(_, n)| (n.allocated().get(), n.id().0))
-                .map(|(i, _)| i)
-            else {
+            let Some(idx) = self.least_allocated_active() else {
                 break;
             };
-            self.states[idx] = NodeState::Draining;
-            let id = self.nodes[idx].id();
+            self.leave_active(idx);
             self.try_retire(idx);
-            drained.push(id);
+            drained.push(self.nodes[idx].id());
         }
         drained
+    }
+
+    /// The least-allocated active slot (lowest id on ties).
+    fn least_allocated_active(&self) -> Option<usize> {
+        self.active
+            .iter()
+            .copied()
+            .min_by_key(|&i| (self.nodes[i].allocated().get(), i))
+    }
+
+    /// Move a live node from active to draining (a no-op if it already
+    /// drains).
+    fn leave_active(&mut self, idx: usize) {
+        self.states[idx] = NodeState::Draining;
+        if let Ok(pos) = self.active.binary_search(&idx) {
+            self.active.remove(pos);
+        }
     }
 
     /// Retire a draining node once empty; returns whether it retired.
     fn try_retire(&mut self, idx: usize) -> bool {
         if self.states[idx] == NodeState::Draining && self.nodes[idx].pod_count() == 0 {
-            self.states[idx] = NodeState::Retired;
+            self.retire(idx);
             true
         } else {
             false
+        }
+    }
+
+    fn retire(&mut self, idx: usize) {
+        self.states[idx] = NodeState::Retired;
+        if let Ok(pos) = self.live.binary_search(&idx) {
+            self.live.remove(pos);
         }
     }
 
@@ -322,13 +340,9 @@ impl Cluster {
         self.live_nodes().map(Node::capacity).sum()
     }
 
-    /// Non-retired nodes (active + draining).
+    /// Non-retired nodes (active + draining), in id order.
     fn live_nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.states[*i] != NodeState::Retired)
-            .map(|(_, n)| n)
+        self.live.iter().map(|&i| &self.nodes[i])
     }
 
     /// Cluster-wide utilisation in `[0, 1]` over non-retired nodes.
@@ -342,38 +356,35 @@ impl Cluster {
 
     /// Instances of `function` hosted on non-retired nodes of `zone` — the
     /// correlated-failure exposure zone-aware spread placement minimises.
-    fn zone_function_count(&self, zone: usize, function: &str) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.node_zones[*i] == zone && self.states[*i] != NodeState::Retired)
-            .map(|(_, n)| n.colocated_count(function))
-            .sum()
+    fn zone_function_count(&self, zone: usize, function: FunctionId) -> u32 {
+        self.zone_functions[zone]
+            .get(function.index())
+            .copied()
+            .unwrap_or(0)
     }
 
-    fn pick_node(&self, function: &str, allocation: Millicores) -> Option<usize> {
+    fn pick_node(&self, function: FunctionId, allocation: Millicores) -> Option<usize> {
         let fitting = self
-            .nodes
+            .active
             .iter()
-            .enumerate()
-            .filter(|(i, n)| self.states[*i] == NodeState::Active && n.can_fit(allocation));
+            .copied()
+            .filter(|&i| self.nodes[i].can_fit(allocation));
         match self.placement {
-            PlacementPolicy::PackSameFunction => fitting
-                .max_by_key(|(_, n)| (n.colocated_count(function), n.free().get()))
-                .map(|(i, _)| i),
+            PlacementPolicy::PackSameFunction => fitting.max_by_key(|&i| {
+                let n = &self.nodes[i];
+                (n.colocated_count(function), n.free().get())
+            }),
             // Zone-aware spread: first keep instances of the same function
             // out of each other's blast radius (fewest copies in the node's
             // zone), then balance load (most free capacity). With one zone
             // the first criterion ties everywhere, degenerating to the
             // original most-free-capacity spread.
-            PlacementPolicy::Spread => fitting
-                .max_by_key(|(i, n)| {
-                    (
-                        std::cmp::Reverse(self.zone_function_count(self.node_zones[*i], function)),
-                        n.free().get(),
-                    )
-                })
-                .map(|(i, _)| i),
+            PlacementPolicy::Spread => fitting.max_by_key(|&i| {
+                (
+                    std::cmp::Reverse(self.zone_function_count(self.node_zones[i], function)),
+                    self.nodes[i].free().get(),
+                )
+            }),
         }
     }
 
@@ -382,27 +393,28 @@ impl Cluster {
     pub fn place(
         &mut self,
         pod: PodId,
-        function: &str,
+        function: FunctionId,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
-        let best_free = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.states[*i] == NodeState::Active)
-            .map(|(_, n)| n.free())
-            .max()
-            .unwrap_or(Millicores::ZERO);
         let idx = self
             .pick_node(function, allocation)
-            .ok_or(SimError::InsufficientCapacity {
-                requested: allocation,
-                available: best_free,
-            })?;
+            .ok_or_else(|| self.no_fit(allocation))?;
         self.nodes[idx].place(pod, function, allocation)?;
-        let node_id = self.nodes[idx].id();
-        self.pod_to_node.insert(pod, node_id);
-        Ok(node_id)
+        Ok(self.placed(idx, pod, function))
+    }
+
+    /// Cold path: the error for an allocation no active node can fit,
+    /// naming the most free capacity any active node has.
+    fn no_fit(&self, allocation: Millicores) -> SimError {
+        SimError::InsufficientCapacity {
+            requested: allocation,
+            available: self
+                .active
+                .iter()
+                .map(|&i| self.nodes[i].free())
+                .max()
+                .unwrap_or(Millicores::ZERO),
+        }
     }
 
     /// Place a pod on a saturated cluster by overcommitting the least-loaded
@@ -412,24 +424,39 @@ impl Cluster {
     pub fn place_overcommitted(
         &mut self,
         pod: PodId,
-        function: &str,
+        function: FunctionId,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
         let idx = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.states[*i] == NodeState::Active)
-            .min_by_key(|(_, n)| (n.allocated().get(), n.id().0))
-            .map(|(i, _)| i)
+            .least_allocated_active()
             .ok_or(SimError::InsufficientCapacity {
                 requested: allocation,
                 available: Millicores::ZERO,
             })?;
         self.nodes[idx].place_overcommitted(pod, function, allocation)?;
+        Ok(self.placed(idx, pod, function))
+    }
+
+    /// Book a pod the node at `idx` just accepted.
+    fn placed(&mut self, idx: usize, pod: PodId, function: FunctionId) -> NodeId {
+        let zone = &mut self.zone_functions[self.node_zones[idx]];
+        if function.index() >= zone.len() {
+            zone.resize(function.index() + 1, 0);
+        }
+        zone[function.index()] += 1;
         let node_id = self.nodes[idx].id();
         self.pod_to_node.insert(pod, node_id);
-        Ok(node_id)
+        node_id
+    }
+
+    /// Evict a pod from the node at `idx`, keeping the zone count in step.
+    fn evict(&mut self, idx: usize, pod: PodId) -> SimResult<()> {
+        let (function, _) = self.nodes[idx].evict(pod)?;
+        // The placement counted the pod into its node's zone.
+        if let Some(count) = self.zone_functions[self.node_zones[idx]].get_mut(function.index()) {
+            *count -= 1;
+        }
+        Ok(())
     }
 
     /// Remove a pod from its node. If the node was draining and this was its
@@ -438,19 +465,16 @@ impl Cluster {
         let node_id = self
             .pod_to_node
             .remove(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod}")))?;
+            .ok_or_else(|| unknown_pod(pod))?;
         let idx = node_id.0 as usize;
-        self.nodes[idx].evict(pod)?;
+        self.evict(idx, pod)?;
         self.try_retire(idx);
         Ok(())
     }
 
     /// Resize a placed pod.
     pub fn resize(&mut self, pod: PodId, allocation: Millicores) -> SimResult<()> {
-        let node_id = self
-            .pod_to_node
-            .get(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod}")))?;
+        let node_id = self.pod_to_node.get(&pod).ok_or_else(|| unknown_pod(pod))?;
         self.nodes[node_id.0 as usize].resize(pod, allocation)
     }
 
@@ -462,7 +486,7 @@ impl Cluster {
     /// How many pods of `function` are co-located with `pod` on its node
     /// (including `pod` itself). Returns 1 if the pod is unknown, i.e. no
     /// interference.
-    pub fn colocation_degree(&self, pod: PodId, function: &str) -> usize {
+    pub fn colocation_degree(&self, pod: PodId, function: FunctionId) -> usize {
         match self.node_of(pod) {
             Some(node_id) => self.nodes[node_id.0 as usize]
                 .colocated_count(function)
@@ -472,9 +496,17 @@ impl Cluster {
     }
 }
 
+/// Cold path: the error for a pod no node hosts.
+fn unknown_pod(pod: PodId) -> SimError {
+    SimError::UnknownEntity(format!("{pod}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const OD: FunctionId = FunctionId(0);
+    const QA: FunctionId = FunctionId(1);
 
     fn cluster(nodes: usize, policy: PlacementPolicy) -> Cluster {
         Cluster::new(&ClusterConfig {
@@ -499,44 +531,44 @@ mod tests {
     #[test]
     fn pack_policy_colocates_same_function() {
         let mut c = cluster(3, PlacementPolicy::PackSameFunction);
-        let n1 = c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        let n2 = c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
-        let n3 = c.place(PodId(3), "od", Millicores::new(1000)).unwrap();
+        let n1 = c.place(PodId(1), OD, Millicores::new(1000)).unwrap();
+        let n2 = c.place(PodId(2), OD, Millicores::new(1000)).unwrap();
+        let n3 = c.place(PodId(3), OD, Millicores::new(1000)).unwrap();
         assert_eq!(n1, n2);
         assert_eq!(n2, n3);
-        assert_eq!(c.colocation_degree(PodId(3), "od"), 3);
+        assert_eq!(c.colocation_degree(PodId(3), OD), 3);
     }
 
     #[test]
     fn spread_policy_balances_load() {
         let mut c = cluster(3, PlacementPolicy::Spread);
-        c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
-        c.place(PodId(3), "od", Millicores::new(1000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(1000)).unwrap();
+        c.place(PodId(2), OD, Millicores::new(1000)).unwrap();
+        c.place(PodId(3), OD, Millicores::new(1000)).unwrap();
         let nodes: std::collections::HashSet<_> = [PodId(1), PodId(2), PodId(3)]
             .iter()
             .map(|p| c.node_of(*p).unwrap())
             .collect();
         assert_eq!(nodes.len(), 3, "spread places each pod on its own node");
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert_eq!(c.colocation_degree(PodId(1), OD), 1);
     }
 
     #[test]
     fn placement_overflows_to_other_nodes_when_full() {
         let mut c = cluster(2, PlacementPolicy::PackSameFunction);
-        c.place(PodId(1), "od", Millicores::new(7000)).unwrap();
-        let n2 = c.place(PodId(2), "od", Millicores::new(3000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(7000)).unwrap();
+        let n2 = c.place(PodId(2), OD, Millicores::new(3000)).unwrap();
         assert_ne!(c.node_of(PodId(1)).unwrap(), n2, "second pod spills over");
         // Totally full cluster rejects placement.
-        c.place(PodId(3), "od", Millicores::new(5000)).unwrap();
-        let err = c.place(PodId(4), "od", Millicores::new(6000)).unwrap_err();
+        c.place(PodId(3), OD, Millicores::new(5000)).unwrap();
+        let err = c.place(PodId(4), OD, Millicores::new(6000)).unwrap_err();
         assert!(matches!(err, SimError::InsufficientCapacity { .. }));
     }
 
     #[test]
     fn remove_and_resize_update_accounting() {
         let mut c = cluster(1, PlacementPolicy::PackSameFunction);
-        c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(2000)).unwrap();
         assert_eq!(c.total_allocated().get(), 2000);
         c.resize(PodId(1), Millicores::new(3000)).unwrap();
         assert_eq!(c.total_allocated().get(), 3000);
@@ -544,7 +576,7 @@ mod tests {
         assert_eq!(c.total_allocated().get(), 0);
         assert!(c.remove(PodId(1)).is_err());
         assert!(c.resize(PodId(1), Millicores::new(1000)).is_err());
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert_eq!(c.colocation_degree(PodId(1), OD), 1);
     }
 
     #[test]
@@ -605,8 +637,8 @@ mod tests {
         // Four nodes, two zones: the first two instances of a function must
         // land in different zones, not merely on different nodes.
         let mut c = zoned(4, 2);
-        c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(1000)).unwrap();
+        c.place(PodId(2), OD, Millicores::new(1000)).unwrap();
         let z1 = c.zone_of(c.node_of(PodId(1)).unwrap()).unwrap();
         let z2 = c.zone_of(c.node_of(PodId(2)).unwrap()).unwrap();
         assert_ne!(z1, z2, "spread must cross zones first");
@@ -615,14 +647,14 @@ mod tests {
     #[test]
     fn crash_loses_pods_and_retires_the_node_for_good() {
         let mut c = zoned(2, 2);
-        c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
-        c.place(PodId(2), "qa", Millicores::new(1000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(2000)).unwrap();
+        c.place(PodId(2), QA, Millicores::new(1000)).unwrap();
         let victim = c.node_of(PodId(1)).unwrap();
         let mut lost = c.crash_node(victim).unwrap();
         lost.sort_by_key(|(pod, _)| *pod);
         assert_eq!(lost.len(), 1);
         assert_eq!(lost[0].0, PodId(1));
-        assert_eq!(lost[0].1, "od");
+        assert_eq!(lost[0].1, OD);
         // The pod is gone, the node is retired, its allocation released.
         assert_eq!(c.node_of(PodId(1)), None);
         assert_eq!(c.node_state(victim), Some(NodeState::Retired));
@@ -645,15 +677,15 @@ mod tests {
     #[test]
     fn added_nodes_become_placement_targets() {
         let mut c = cluster(1, PlacementPolicy::Spread);
-        c.place(PodId(1), "od", Millicores::from_cores(8)).unwrap();
+        c.place(PodId(1), OD, Millicores::from_cores(8)).unwrap();
         // Full cluster: next placement fails …
-        assert!(c.place(PodId(2), "od", Millicores::new(1000)).is_err());
+        assert!(c.place(PodId(2), OD, Millicores::new(1000)).is_err());
         // … until a node is added.
         let added = c.add_node(Millicores::from_cores(8)).unwrap();
         assert_eq!(added, NodeId(1));
         assert_eq!(c.node_count(), 2);
         assert_eq!(c.active_node_count(), 2);
-        let placed = c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
+        let placed = c.place(PodId(2), OD, Millicores::new(1000)).unwrap();
         assert_eq!(placed, added);
         assert_eq!(c.total_capacity(), Millicores::from_cores(16));
         assert!(c.add_node(Millicores::ZERO).is_err());
@@ -662,14 +694,14 @@ mod tests {
     #[test]
     fn draining_is_allocation_aware() {
         let mut c = cluster(2, PlacementPolicy::Spread);
-        c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(2000)).unwrap();
         let node = c.node_of(PodId(1)).unwrap();
         // Draining a node with a pod does not retire it yet.
         assert!(!c.drain_node(node).unwrap());
         assert_eq!(c.node_state(node), Some(NodeState::Draining));
         assert_eq!(c.node_count(), 2, "draining node still counts");
         // No new placements land on the draining node.
-        c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
+        c.place(PodId(2), OD, Millicores::new(1000)).unwrap();
         assert_ne!(c.node_of(PodId(2)).unwrap(), node);
         // Evicting the last pod retires it and releases its capacity.
         c.remove(PodId(1)).unwrap();
@@ -684,22 +716,22 @@ mod tests {
     #[test]
     fn overcommit_places_on_the_least_loaded_active_node() {
         let mut c = cluster(2, PlacementPolicy::Spread);
-        c.place(PodId(1), "od", Millicores::from_cores(8)).unwrap();
-        c.place(PodId(2), "od", Millicores::from_cores(8)).unwrap();
+        c.place(PodId(1), OD, Millicores::from_cores(8)).unwrap();
+        c.place(PodId(2), OD, Millicores::from_cores(8)).unwrap();
         // Saturated: regular placement fails, overcommit lands anyway and
         // the overloaded fleet reads as >100 % utilised.
-        assert!(c.place(PodId(3), "od", Millicores::new(2000)).is_err());
+        assert!(c.place(PodId(3), OD, Millicores::new(2000)).is_err());
         let node = c
-            .place_overcommitted(PodId(3), "od", Millicores::new(2000))
+            .place_overcommitted(PodId(3), OD, Millicores::new(2000))
             .unwrap();
         assert_eq!(c.node_of(PodId(3)), Some(node));
         assert!(c.utilization() > 1.0);
-        assert_eq!(c.colocation_degree(PodId(3), "od"), 2);
+        assert_eq!(c.colocation_degree(PodId(3), OD), 2);
         // Draining nodes are not overcommit targets either.
         c.drain_node(NodeId(0)).unwrap();
         c.drain_node(NodeId(1)).unwrap();
         assert!(c
-            .place_overcommitted(PodId(4), "od", Millicores::new(1000))
+            .place_overcommitted(PodId(4), OD, Millicores::new(1000))
             .is_err());
         // Eviction drains the overcommitted node back to retirement.
         c.remove(PodId(3)).unwrap();
@@ -719,8 +751,8 @@ mod tests {
     #[test]
     fn drain_least_allocated_respects_the_floor() {
         let mut c = cluster(3, PlacementPolicy::Spread);
-        c.place(PodId(1), "od", Millicores::new(3000)).unwrap();
-        c.place(PodId(2), "od", Millicores::new(2000)).unwrap();
+        c.place(PodId(1), OD, Millicores::new(3000)).unwrap();
+        c.place(PodId(2), OD, Millicores::new(2000)).unwrap();
         // Three active nodes, floor of one: at most two drain, least
         // allocated (the empty node) first.
         let drained = c.drain_least_allocated(5, 1);
@@ -736,7 +768,7 @@ mod tests {
     fn utilization_reflects_allocations() {
         let mut c = cluster(2, PlacementPolicy::Spread);
         assert_eq!(c.utilization(), 0.0);
-        c.place(PodId(1), "od", Millicores::from_cores(8)).unwrap();
+        c.place(PodId(1), OD, Millicores::from_cores(8)).unwrap();
         assert!((c.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(c.total_capacity(), Millicores::from_cores(16));
     }

@@ -58,7 +58,7 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use interference::{InterferenceModel, ResourceDimension};
 pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle, StreamingHandle};
 pub use node::{Node, NodeId};
-pub use pod::{Pod, PodId, PodState};
+pub use pod::{FunctionId, Pod, PodId, PodState};
 pub use pool::{PoolConfig, PoolManager};
 pub use registry::{BuildKind, Registry, RegistryKind};
 pub use resources::{CoreGrid, Millicores};
@@ -71,10 +71,53 @@ pub use time::{SimDuration, SimTime};
 /// `RandomState` draws fresh keys per process, and the keys decide where a
 /// removal leaves a tombstone and so when a table grows. No output depends
 /// on that, but the allocation counts `tests/perf_counters.rs` pins would:
-/// with fixed keys they are the same in every process. The keys hashed are
-/// pod and request ids and workflow function names the program builds
-/// itself, so collision-flooding protection buys nothing here.
-pub type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+/// with a fixed hash they are the same in every process. Every key hashed
+/// is a dense pod, node or request id the program numbers itself, so
+/// collision-flooding protection buys nothing and [`IdHasher`] replaces
+/// SipHash with one multiply per key.
+pub type FixedState = std::hash::BuildHasherDefault<IdHasher>;
+
+/// Multiplicative integer hasher behind [`FixedState`].
+///
+/// Each written word is folded in with one xor and one multiply by an odd
+/// 64-bit constant, so sequential ids spread over every bucket; `finish`
+/// rotates the well-mixed high bits down to where the table indexes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(Self::K);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Result alias used across the simulator substrate.
 pub type SimResult<T> = Result<T, SimError>;

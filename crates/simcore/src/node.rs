@@ -6,13 +6,13 @@
 //! [`crate::interference::InterferenceModel`].
 
 use crate::error::SimError;
-use crate::pod::PodId;
+use crate::pod::{FunctionId, PodId};
 use crate::resources::Millicores;
 use crate::FixedState;
 use crate::SimResult;
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — per-node pod map for keyed lookup only; capacity math folds over values commutatively
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Identifier of a worker node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -32,14 +32,15 @@ pub struct Node {
     allocated: Millicores,
     /// Allocation per pod currently placed here.
     pods: HashMap<PodId, PodPlacement, FixedState>,
-    /// Number of pods per function name (for co-location interference).
-    per_function: HashMap<String, usize, FixedState>,
+    /// Number of pods per function (for co-location interference), indexed
+    /// by [`FunctionId`]; grows the first time a function lands here.
+    per_function: Vec<u32>,
 }
 
 /// Book-keeping for one pod placed on a node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PodPlacement {
-    function: String,
+    function: FunctionId,
     allocation: Millicores,
 }
 
@@ -51,7 +52,7 @@ impl Node {
             capacity,
             allocated: Millicores::ZERO,
             pods: HashMap::default(),
-            per_function: HashMap::default(),
+            per_function: Vec::new(),
         }
     }
 
@@ -90,8 +91,10 @@ impl Node {
 
     /// Number of pods of `function` hosted (the co-location degree used by the
     /// interference model).
-    pub fn colocated_count(&self, function: &str) -> usize {
-        self.per_function.get(function).copied().unwrap_or(0)
+    pub fn colocated_count(&self, function: FunctionId) -> usize {
+        self.per_function
+            .get(function.index())
+            .map_or(0, |count| *count as usize)
     }
 
     /// Whether the node can host an extra `allocation`.
@@ -100,7 +103,12 @@ impl Node {
     }
 
     /// Place a pod of `function` with `allocation` CPU on this node.
-    pub fn place(&mut self, pod: PodId, function: &str, allocation: Millicores) -> SimResult<()> {
+    pub fn place(
+        &mut self,
+        pod: PodId,
+        function: FunctionId,
+        allocation: Millicores,
+    ) -> SimResult<()> {
         if !self.can_fit(allocation) {
             return Err(SimError::InsufficientCapacity {
                 requested: allocation,
@@ -118,41 +126,40 @@ impl Node {
     pub fn place_overcommitted(
         &mut self,
         pod: PodId,
-        function: &str,
+        function: FunctionId,
         allocation: Millicores,
     ) -> SimResult<()> {
-        if self.pods.contains_key(&pod) {
-            return Err(SimError::InvalidTransition {
-                entity: format!("{pod}"),
-                detail: format!("already placed on {}", self.id),
-            });
+        match self.pods.entry(pod) {
+            Entry::Occupied(_) => return Err(already_placed(pod, self.id)),
+            Entry::Vacant(slot) => {
+                slot.insert(PodPlacement {
+                    function,
+                    allocation,
+                });
+            }
         }
         self.allocated += allocation;
-        self.pods.insert(
-            pod,
-            PodPlacement {
-                function: function.to_string(),
-                allocation,
-            },
-        );
-        *self.per_function.entry(function.to_string()).or_insert(0) += 1;
+        let index = function.index();
+        if index >= self.per_function.len() {
+            self.per_function.resize(index + 1, 0);
+        }
+        self.per_function[index] += 1;
         Ok(())
     }
 
-    /// Remove a pod and release its allocation.
-    pub fn evict(&mut self, pod: PodId) -> SimResult<Millicores> {
+    /// Remove a pod and release its allocation. Returns the function the
+    /// pod ran and the allocation released.
+    pub fn evict(&mut self, pod: PodId) -> SimResult<(FunctionId, Millicores)> {
         let placement = self
             .pods
             .remove(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod} on {}", self.id)))?;
+            .ok_or_else(|| not_hosted(pod, self.id))?;
         self.allocated = self.allocated.saturating_sub(placement.allocation);
-        if let Some(count) = self.per_function.get_mut(&placement.function) {
+        // Every hosted pod counted itself in on placement.
+        if let Some(count) = self.per_function.get_mut(placement.function.index()) {
             *count -= 1;
-            if *count == 0 {
-                self.per_function.remove(&placement.function);
-            }
         }
-        Ok(placement.allocation)
+        Ok((placement.function, placement.allocation))
     }
 
     /// Change the CPU allocation of an already-placed pod (the late-binding
@@ -161,7 +168,7 @@ impl Node {
         let current = self
             .pods
             .get(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod} on {}", self.id)))?
+            .ok_or_else(|| not_hosted(pod, self.id))?
             .allocation;
         let after = self.allocated.saturating_sub(current) + new_allocation;
         if after > self.capacity {
@@ -183,16 +190,33 @@ impl Node {
     }
 
     /// Iterate over `(pod, function, allocation)` of hosted pods.
-    pub fn pods(&self) -> impl Iterator<Item = (PodId, &str, Millicores)> + '_ {
+    pub fn pods(&self) -> impl Iterator<Item = (PodId, FunctionId, Millicores)> + '_ {
         self.pods
             .iter()
-            .map(|(id, p)| (*id, p.function.as_str(), p.allocation))
+            .map(|(id, p)| (*id, p.function, p.allocation))
     }
+}
+
+/// Cold path: the error for a second placement of a hosted pod.
+fn already_placed(pod: PodId, node: NodeId) -> SimError {
+    SimError::InvalidTransition {
+        entity: format!("{pod}"),
+        detail: format!("already placed on {node}"),
+    }
+}
+
+/// Cold path: the error for a pod this node does not host.
+fn not_hosted(pod: PodId, node: NodeId) -> SimError {
+    SimError::UnknownEntity(format!("{pod} on {node}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const OD: FunctionId = FunctionId(0);
+    const QA: FunctionId = FunctionId(1);
+    const TS: FunctionId = FunctionId(2);
 
     fn node() -> Node {
         Node::new(NodeId(0), Millicores::from_cores(8))
@@ -201,14 +225,14 @@ mod tests {
     #[test]
     fn placement_tracks_allocation_and_colocation() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(2000)).unwrap();
-        n.place(PodId(2), "od", Millicores::new(1000)).unwrap();
-        n.place(PodId(3), "qa", Millicores::new(1000)).unwrap();
+        n.place(PodId(1), OD, Millicores::new(2000)).unwrap();
+        n.place(PodId(2), OD, Millicores::new(1000)).unwrap();
+        n.place(PodId(3), QA, Millicores::new(1000)).unwrap();
         assert_eq!(n.allocated().get(), 4000);
         assert_eq!(n.free().get(), 4000);
-        assert_eq!(n.colocated_count("od"), 2);
-        assert_eq!(n.colocated_count("qa"), 1);
-        assert_eq!(n.colocated_count("ts"), 0);
+        assert_eq!(n.colocated_count(OD), 2);
+        assert_eq!(n.colocated_count(QA), 1);
+        assert_eq!(n.colocated_count(TS), 0);
         assert!((n.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(n.pod_count(), 3);
     }
@@ -216,35 +240,36 @@ mod tests {
     #[test]
     fn overcommit_is_rejected() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(7000)).unwrap();
-        let err = n.place(PodId(2), "od", Millicores::new(2000)).unwrap_err();
+        n.place(PodId(1), OD, Millicores::new(7000)).unwrap();
+        let err = n.place(PodId(2), OD, Millicores::new(2000)).unwrap_err();
         assert!(matches!(err, SimError::InsufficientCapacity { .. }));
     }
 
     #[test]
     fn duplicate_placement_is_rejected() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        assert!(n.place(PodId(1), "od", Millicores::new(1000)).is_err());
+        n.place(PodId(1), OD, Millicores::new(1000)).unwrap();
+        assert!(n.place(PodId(1), OD, Millicores::new(1000)).is_err());
     }
 
     #[test]
     fn evict_releases_capacity_and_colocation() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(2000)).unwrap();
-        n.place(PodId(2), "od", Millicores::new(1000)).unwrap();
-        let released = n.evict(PodId(1)).unwrap();
+        n.place(PodId(1), OD, Millicores::new(2000)).unwrap();
+        n.place(PodId(2), OD, Millicores::new(1000)).unwrap();
+        let (function, released) = n.evict(PodId(1)).unwrap();
+        assert_eq!(function, OD);
         assert_eq!(released.get(), 2000);
         assert_eq!(n.allocated().get(), 1000);
-        assert_eq!(n.colocated_count("od"), 1);
+        assert_eq!(n.colocated_count(OD), 1);
         assert!(n.evict(PodId(1)).is_err());
     }
 
     #[test]
     fn resize_respects_capacity() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        n.place(PodId(2), "qa", Millicores::new(6000)).unwrap();
+        n.place(PodId(1), OD, Millicores::new(1000)).unwrap();
+        n.place(PodId(2), QA, Millicores::new(6000)).unwrap();
         n.resize(PodId(1), Millicores::new(2000)).unwrap();
         assert_eq!(n.pod_allocation(PodId(1)), Some(Millicores::new(2000)));
         assert_eq!(n.allocated().get(), 8000);

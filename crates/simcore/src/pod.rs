@@ -4,10 +4,8 @@
 //! warm from the pool manager, specialises to one function, executes requests
 //! (possibly batched), and is eventually reclaimed.
 
-use crate::error::SimError;
 use crate::resources::Millicores;
 use crate::time::SimTime;
-use crate::SimResult;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a pod (function instance).
@@ -20,6 +18,29 @@ impl std::fmt::Display for PodId {
     }
 }
 
+/// Dense identifier of a workflow function: its position in the workflow.
+///
+/// Function names are unique within a workflow, so the position interns
+/// the name. Every per-function table of the simulator (a node's
+/// co-location counts, the warm pool's queues, the cluster's per-zone
+/// instance counts) is a vector indexed by this id, so the per-event path
+/// never builds or hashes a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct FunctionId(pub u32);
+
+impl FunctionId {
+    /// The id of the function at `index` in its workflow.
+    pub fn from_index(index: usize) -> Self {
+        // Workflows hold a handful of functions; the cast cannot truncate.
+        FunctionId(index as u32)
+    }
+
+    /// Position of the function in its workflow (the table index).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Lifecycle states of a pod.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PodState {
@@ -29,15 +50,17 @@ pub enum PodState {
     Warm,
     /// Currently executing a (batch of) request(s).
     Running,
-    /// Reclaimed; terminal state.
-    Terminated,
 }
 
 /// A function instance with a mutable CPU allocation.
+///
+/// Its transitions belong to the [`crate::pool::PoolManager`], which holds
+/// every pod in the table of its state and so only ever dispatches an idle
+/// pod and finishes a running one: neither transition can fail.
 #[derive(Debug, Clone)]
 pub struct Pod {
     id: PodId,
-    function: Option<String>,
+    function: Option<FunctionId>,
     state: PodState,
     allocation: Millicores,
     created_at: SimTime,
@@ -65,8 +88,8 @@ impl Pod {
     }
 
     /// Function the pod is specialised to, if any.
-    pub fn function(&self) -> Option<&str> {
-        self.function.as_deref()
+    pub fn function(&self) -> Option<FunctionId> {
+        self.function
     }
 
     /// Current lifecycle state.
@@ -89,84 +112,29 @@ impl Pod {
         self.executions
     }
 
-    /// Number of resize operations applied.
+    /// Number of allocation changes applied at dispatch.
     pub fn resizes(&self) -> u64 {
         self.resizes
     }
 
-    /// Specialise a generic pod to `function` (the Fission "specialisation"
-    /// step that turns a warm generic pod into a function pod).
-    pub fn specialize(&mut self, function: &str) -> SimResult<()> {
-        match self.state {
-            PodState::Generic => {
-                self.function = Some(function.to_string());
-                self.state = PodState::Warm;
-                Ok(())
-            }
-            _ => Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: format!("specialize from {:?}", self.state),
-            }),
-        }
-    }
-
-    /// Mark the pod as running a request.
-    pub fn start_execution(&mut self) -> SimResult<()> {
-        match self.state {
-            PodState::Warm => {
-                self.state = PodState::Running;
-                Ok(())
-            }
-            _ => Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: format!("start_execution from {:?}", self.state),
-            }),
-        }
-    }
-
-    /// Mark the current execution as finished; the pod returns to warm.
-    pub fn finish_execution(&mut self) -> SimResult<()> {
-        match self.state {
-            PodState::Running => {
-                self.state = PodState::Warm;
-                self.executions += 1;
-                Ok(())
-            }
-            _ => Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: format!("finish_execution from {:?}", self.state),
-            }),
-        }
-    }
-
-    /// Apply a new CPU allocation (the adapter's resize action). Allowed in
-    /// any non-terminal state: the paper resizes downstream functions while
-    /// they are warm, and in-flight vertical scaling is also supported by
-    /// cgroup updates.
-    pub fn resize(&mut self, new_allocation: Millicores) -> SimResult<()> {
-        if self.state == PodState::Terminated {
-            return Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: "resize on terminated pod".to_string(),
-            });
-        }
-        if new_allocation != self.allocation {
-            self.allocation = new_allocation;
+    /// Bind an idle pod to `function` at `allocation` and start executing:
+    /// the Fission specialisation step for a generic pod, then the
+    /// adapter's resize (counted only when the allocation changes). The
+    /// pool dispatches only generic pods and warm pods of `function`'s own
+    /// queue.
+    pub(crate) fn dispatch(&mut self, function: FunctionId, allocation: Millicores) {
+        self.function = Some(function);
+        if allocation != self.allocation {
+            self.allocation = allocation;
             self.resizes += 1;
         }
-        Ok(())
+        self.state = PodState::Running;
     }
 
-    /// Reclaim the pod. Terminal.
-    pub fn terminate(&mut self) -> SimResult<()> {
-        if self.state == PodState::Running {
-            return Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: "terminate while running".to_string(),
-            });
-        }
-        self.state = PodState::Terminated;
-        Ok(())
+    /// End the current execution; the pod is warm again.
+    pub(crate) fn finish(&mut self) {
+        self.state = PodState::Warm;
+        self.executions += 1;
     }
 }
 
@@ -182,38 +150,25 @@ mod tests {
     fn lifecycle_happy_path() {
         let mut p = pod();
         assert_eq!(p.state(), PodState::Generic);
-        p.specialize("od").unwrap();
-        assert_eq!(p.state(), PodState::Warm);
-        assert_eq!(p.function(), Some("od"));
-        p.start_execution().unwrap();
+        assert_eq!(p.function(), None);
+        p.dispatch(FunctionId(0), Millicores::new(1000));
         assert_eq!(p.state(), PodState::Running);
-        p.finish_execution().unwrap();
+        assert_eq!(p.function(), Some(FunctionId(0)));
+        p.finish();
         assert_eq!(p.state(), PodState::Warm);
         assert_eq!(p.executions(), 1);
-        p.terminate().unwrap();
-        assert_eq!(p.state(), PodState::Terminated);
-    }
-
-    #[test]
-    fn invalid_transitions_are_rejected() {
-        let mut p = pod();
-        assert!(p.start_execution().is_err(), "generic pod cannot run");
-        p.specialize("od").unwrap();
-        assert!(p.specialize("qa").is_err(), "cannot re-specialise");
-        assert!(p.finish_execution().is_err(), "not running");
-        p.start_execution().unwrap();
-        assert!(p.terminate().is_err(), "cannot terminate mid-run");
-        p.finish_execution().unwrap();
-        p.terminate().unwrap();
-        assert!(p.resize(Millicores::new(2000)).is_err(), "terminated pod");
+        p.dispatch(FunctionId(0), Millicores::new(1000));
+        p.finish();
+        assert_eq!(p.executions(), 2);
     }
 
     #[test]
     fn resize_counts_only_changes() {
         let mut p = pod();
-        p.resize(Millicores::new(1000)).unwrap();
+        p.dispatch(FunctionId(0), Millicores::new(1000));
         assert_eq!(p.resizes(), 0, "no-op resize not counted");
-        p.resize(Millicores::new(2500)).unwrap();
+        p.finish();
+        p.dispatch(FunctionId(0), Millicores::new(2500));
         assert_eq!(p.allocation(), Millicores::new(2500));
         assert_eq!(p.resizes(), 1);
     }

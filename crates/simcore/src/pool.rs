@@ -5,12 +5,12 @@
 //! specialising a warm pod to a function costs a small specialisation delay
 //! rather than a full cold start.
 
-use crate::pod::{Pod, PodId, PodState};
+use crate::pod::{FunctionId, Pod, PodId};
 use crate::resources::Millicores;
 use crate::time::{SimDuration, SimTime};
 use crate::FixedState;
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — pod registry for keyed lookup; eviction/scheduling order comes from the VecDeque, never map iteration
+// janus-lint: allow(nondeterminism) — running-pod table for keyed lookup; eviction/scheduling order comes from the VecDeques, never map iteration
 use std::collections::{HashMap, VecDeque};
 
 /// Pool-manager configuration.
@@ -57,18 +57,23 @@ pub struct Acquisition {
 
 /// Warm-pool manager tracking generic pods, specialised idle pods and
 /// hit/miss statistics.
+///
+/// Each pod is owned by the table of its state: the generic queue, the
+/// warm queue of its function, or the running table. Acquiring or releasing
+/// a pod moves it between them, so a transition never looks a pod up in a
+/// table it might be missing from, and never checks a state it might not be
+/// in.
 #[derive(Debug)]
 pub struct PoolManager {
     config: PoolConfig,
     next_pod: u64,
-    /// Generic warm pods ready to be specialised.
-    generic: VecDeque<PodId>,
-    /// Idle pods already specialised, keyed by function.
-    warm_by_function: HashMap<String, VecDeque<PodId>, FixedState>,
-    /// All pods ever created, by id.
-    pods: HashMap<PodId, Pod, FixedState>,
-    /// Last time each idle pod went idle (for recycling).
-    idle_since: HashMap<PodId, SimTime, FixedState>,
+    /// Generic warm pods ready to be specialised, oldest first.
+    generic: VecDeque<Pod>,
+    /// Idle specialised pods with the instant each went idle, one queue per
+    /// function indexed by [`FunctionId`], least recently released first.
+    warm: Vec<VecDeque<(Pod, SimTime)>>,
+    /// Pods currently executing.
+    running: HashMap<PodId, Pod, FixedState>,
     warm_hits: u64,
     cold_starts: u64,
 }
@@ -80,9 +85,8 @@ impl PoolManager {
             config,
             next_pod: 0,
             generic: VecDeque::new(),
-            warm_by_function: HashMap::default(),
-            pods: HashMap::default(),
-            idle_since: HashMap::default(),
+            warm: Vec::new(),
+            running: HashMap::default(),
             warm_hits: 0,
             cold_starts: 0,
         };
@@ -101,11 +105,8 @@ impl PoolManager {
     }
 
     /// Number of idle specialised pods for `function`.
-    pub fn warm_available(&self, function: &str) -> usize {
-        self.warm_by_function
-            .get(function)
-            .map(VecDeque::len)
-            .unwrap_or(0)
+    pub fn warm_available(&self, function: FunctionId) -> usize {
+        self.warm.get(function.index()).map_or(0, VecDeque::len)
     }
 
     /// Total warm-pool hits so far.
@@ -127,19 +128,17 @@ impl PoolManager {
         self.warm_hits as f64 / total as f64
     }
 
-    fn new_pod(&mut self, now: SimTime) -> PodId {
+    fn new_pod(&mut self, now: SimTime) -> Pod {
         let id = PodId(self.next_pod);
         self.next_pod += 1;
-        let pod = Pod::generic(id, self.config.initial_allocation, now);
-        self.pods.insert(id, pod);
-        id
+        Pod::generic(id, self.config.initial_allocation, now)
     }
 
     /// Top the generic pool back up to its configured size.
     pub fn refill(&mut self, now: SimTime) {
         while self.generic.len() < self.config.pool_size {
-            let id = self.new_pod(now);
-            self.generic.push_back(id);
+            let pod = self.new_pod(now);
+            self.generic.push_back(pod);
         }
     }
 
@@ -153,19 +152,14 @@ impl PoolManager {
     /// generic pods (idle specialised pods are untouched — they age out via
     /// [`recycle_idle`](Self::recycle_idle)).
     ///
-    /// Terminated surplus pods are dropped from the tracking map outright —
-    /// a generic pod was never specialised or handed out, so nothing can
-    /// reference it again, and an oscillating autoscaler retargeting every
-    /// tick must not grow the pod table with dead entries.
+    /// Terminated surplus pods are dropped outright — a generic pod was
+    /// never specialised or handed out, so nothing can reference it again,
+    /// and an oscillating autoscaler retargeting every tick must not grow
+    /// the pool with dead entries.
     pub fn set_target_pool_size(&mut self, target: usize, now: SimTime) {
         self.config.pool_size = target;
-        while self.generic.len() > target {
-            // Newest pods go first, keeping the oldest (warmest) provisioned.
-            let Some(pod_id) = self.generic.pop_back() else {
-                break;
-            };
-            self.pods.remove(&pod_id);
-        }
+        // Newest pods go first, keeping the oldest (warmest) provisioned.
+        self.generic.truncate(target);
         self.refill(now);
     }
 
@@ -176,124 +170,108 @@ impl PoolManager {
     ///    specialisation delay;
     /// 2. a generic pool pod → warm hit, specialisation delay;
     /// 3. nothing available → cold start.
-    pub fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
-        // 1. Reuse a specialised idle pod.
-        if let Some(queue) = self.warm_by_function.get_mut(function) {
-            if let Some(pod_id) = queue.pop_front() {
-                self.idle_since.remove(&pod_id);
-                let pod = self.pods.get_mut(&pod_id).expect("tracked pod exists");
-                pod.resize(allocation).expect("idle pod resize");
-                pod.start_execution().expect("warm pod starts");
-                self.warm_hits += 1;
-                return Acquisition {
-                    pod: pod_id,
-                    startup_delay: SimDuration::ZERO,
-                    warm_hit: true,
-                };
-            }
-        }
-        // 2. Specialise a generic pod.
-        if let Some(pod_id) = self.generic.pop_front() {
-            let pod = self.pods.get_mut(&pod_id).expect("tracked pod exists");
-            pod.specialize(function).expect("generic pod specialises");
-            pod.resize(allocation).expect("pod resize");
-            pod.start_execution().expect("specialised pod starts");
+    pub fn acquire(
+        &mut self,
+        function: FunctionId,
+        allocation: Millicores,
+        now: SimTime,
+    ) -> Acquisition {
+        let reused = self
+            .warm
+            .get_mut(function.index())
+            .and_then(VecDeque::pop_front);
+        let (mut pod, startup_delay, warm_hit) = if let Some((pod, _)) = reused {
+            // 1. Reuse a specialised idle pod.
+            (pod, SimDuration::ZERO, true)
+        } else if let Some(pod) = self.generic.pop_front() {
+            // 2. Specialise a generic pod.
+            (pod, self.config.specialization_delay, true)
+        } else {
+            // 3. Cold start.
+            (self.new_pod(now), self.config.cold_start_delay, false)
+        };
+        if warm_hit {
             self.warm_hits += 1;
-            return Acquisition {
-                pod: pod_id,
-                startup_delay: self.config.specialization_delay,
-                warm_hit: true,
-            };
+        } else {
+            self.cold_starts += 1;
         }
-        // 3. Cold start.
-        let pod_id = self.new_pod(now);
-        let pod = self.pods.get_mut(&pod_id).expect("new pod exists");
-        pod.specialize(function).expect("new pod specialises");
-        pod.resize(allocation).expect("pod resize");
-        pod.start_execution().expect("new pod starts");
-        self.cold_starts += 1;
+        pod.dispatch(function, allocation);
+        let id = pod.id();
+        self.running.insert(id, pod);
         Acquisition {
-            pod: pod_id,
-            startup_delay: self.config.cold_start_delay,
-            warm_hit: false,
+            pod: id,
+            startup_delay,
+            warm_hit,
         }
     }
 
     /// Return a pod after its execution finished; it becomes an idle
-    /// specialised pod available for reuse.
+    /// specialised pod available for reuse. Pods not running (lost to a
+    /// crash, or unknown) are ignored.
     pub fn release(&mut self, pod_id: PodId, now: SimTime) {
-        let Some(pod) = self.pods.get_mut(&pod_id) else {
+        let Some(mut pod) = self.running.remove(&pod_id) else {
             return;
         };
-        if pod.state() == PodState::Running {
-            pod.finish_execution().expect("running pod finishes");
+        pod.finish();
+        // A running pod was dispatched to a function, so this always holds.
+        if let Some(function) = pod.function() {
+            self.warm_queue(function).push_back((pod, now));
         }
-        if let Some(function) = pod.function().map(str::to_string) {
-            self.warm_by_function
-                .entry(function)
-                .or_default()
-                .push_back(pod_id);
-            self.idle_since.insert(pod_id, now);
+    }
+
+    /// The warm queue of `function`, created the first time it is needed.
+    fn warm_queue(&mut self, function: FunctionId) -> &mut VecDeque<(Pod, SimTime)> {
+        let index = function.index();
+        if index >= self.warm.len() {
+            self.warm.resize_with(index + 1, VecDeque::new);
         }
+        &mut self.warm[index]
     }
 
     /// Recycle specialised pods idle for longer than the configured window
     /// and top the generic pool back up. Returns how many pods were recycled.
+    ///
+    /// One pass over the warm queues: each keeps its surviving pods in
+    /// order, and a recycled pod is dropped outright (the open loop
+    /// recycles on every capacity tick — long runs must stay bounded).
     pub fn recycle_idle(&mut self, now: SimTime) -> usize {
         let cutoff = self.config.idle_recycle_after;
         let mut recycled = 0;
-        let expired: Vec<PodId> = self
-            .idle_since
-            .iter()
-            .filter(|(_, since)| now.saturating_since(**since) >= cutoff)
-            .map(|(id, _)| *id)
-            .collect();
-        for pod_id in expired {
-            self.idle_since.remove(&pod_id);
-            for queue in self.warm_by_function.values_mut() {
-                queue.retain(|id| *id != pod_id);
-            }
-            // Recycled pods leave every queue above, so nothing can reach
-            // them again; drop them from the tracking map rather than
-            // keeping terminated entries forever (the open loop recycles on
-            // every capacity tick — long runs must stay bounded).
-            self.pods.remove(&pod_id);
-            recycled += 1;
+        for queue in &mut self.warm {
+            let before = queue.len();
+            queue.retain(|(_, since)| now.saturating_since(*since) < cutoff);
+            recycled += before - queue.len();
         }
         self.refill(now);
         recycled
     }
 
     /// Forget pods lost abruptly (a node crash, not a drain): each is
-    /// removed from the generic pool, every warm queue, the idle tracker and
-    /// the pod table, so nothing can hand a dead pod out again and the
-    /// tracking map cannot grow dead entries across a crash-heavy run.
-    /// Unknown ids are ignored (the pod may already have been recycled).
-    /// Returns how many pods were actually dropped.
+    /// removed from whichever table holds it — the running table, the
+    /// generic pool or a warm queue — so nothing can hand a dead pod out
+    /// again and the pool cannot grow dead entries across a crash-heavy
+    /// run. Unknown ids are ignored (the pod may already have been
+    /// recycled). Returns how many pods were actually dropped.
     pub fn drop_lost(&mut self, lost: &[PodId]) -> usize {
-        let mut dropped = 0;
+        let before = self.tracked_pods();
         for pod_id in lost {
-            if self.pods.remove(pod_id).is_none() {
-                continue;
-            }
-            self.generic.retain(|id| id != pod_id);
-            for queue in self.warm_by_function.values_mut() {
-                queue.retain(|id| id != pod_id);
-            }
-            self.idle_since.remove(pod_id);
-            dropped += 1;
+            self.running.remove(pod_id);
         }
-        dropped
+        self.generic.retain(|pod| !lost.contains(&pod.id()));
+        for queue in &mut self.warm {
+            queue.retain(|(pod, _)| !lost.contains(&pod.id()));
+        }
+        before - self.tracked_pods()
     }
 
-    /// Mutable access to a pod (e.g. for a resize while it is idle or running).
-    pub fn pod_mut(&mut self, pod_id: PodId) -> Option<&mut Pod> {
-        self.pods.get_mut(&pod_id)
-    }
-
-    /// Immutable access to a pod.
+    /// A tracked pod, wherever it is (running, generic or warm).
     pub fn pod(&self, pod_id: PodId) -> Option<&Pod> {
-        self.pods.get(&pod_id)
+        self.running.get(&pod_id).or_else(|| {
+            self.generic
+                .iter()
+                .chain(self.warm.iter().flatten().map(|(pod, _)| pod))
+                .find(|pod| pod.id() == pod_id)
+        })
     }
 
     /// Total pods ever created (including surplus generic pods already
@@ -302,16 +280,19 @@ impl PoolManager {
         self.next_pod as usize
     }
 
-    /// Pods currently tracked (generic, specialised, running or terminated
-    /// but not yet dropped).
+    /// Pods currently tracked (generic, idle specialised or running).
     pub fn tracked_pods(&self) -> usize {
-        self.pods.len()
+        self.running.len() + self.generic.len() + self.warm.iter().map(VecDeque::len).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pod::PodState;
+
+    const OD: FunctionId = FunctionId(0);
+    const QA: FunctionId = FunctionId(1);
 
     fn pool(size: usize) -> PoolManager {
         PoolManager::new(PoolConfig {
@@ -330,12 +311,12 @@ mod tests {
     #[test]
     fn first_acquire_specialises_a_generic_pod() {
         let mut mgr = pool(2);
-        let acq = mgr.acquire("od", Millicores::new(2000), SimTime::ZERO);
+        let acq = mgr.acquire(OD, Millicores::new(2000), SimTime::ZERO);
         assert!(acq.warm_hit);
         assert_eq!(acq.startup_delay, mgr.config().specialization_delay);
         assert_eq!(mgr.generic_available(), 1);
         let pod = mgr.pod(acq.pod).unwrap();
-        assert_eq!(pod.function(), Some("od"));
+        assert_eq!(pod.function(), Some(OD));
         assert_eq!(pod.allocation(), Millicores::new(2000));
         assert_eq!(pod.state(), PodState::Running);
     }
@@ -343,10 +324,10 @@ mod tests {
     #[test]
     fn released_pod_is_reused_without_delay() {
         let mut mgr = pool(2);
-        let acq1 = mgr.acquire("od", Millicores::new(1500), SimTime::ZERO);
+        let acq1 = mgr.acquire(OD, Millicores::new(1500), SimTime::ZERO);
         mgr.release(acq1.pod, SimTime::from_millis(100.0));
-        assert_eq!(mgr.warm_available("od"), 1);
-        let acq2 = mgr.acquire("od", Millicores::new(2500), SimTime::from_millis(200.0));
+        assert_eq!(mgr.warm_available(OD), 1);
+        let acq2 = mgr.acquire(OD, Millicores::new(2500), SimTime::from_millis(200.0));
         assert_eq!(acq2.pod, acq1.pod, "same pod reused");
         assert_eq!(acq2.startup_delay, SimDuration::ZERO);
         assert_eq!(
@@ -359,9 +340,9 @@ mod tests {
     #[test]
     fn exhausted_pool_falls_back_to_cold_start() {
         let mut mgr = pool(1);
-        let a = mgr.acquire("od", Millicores::new(1000), SimTime::ZERO);
+        let a = mgr.acquire(OD, Millicores::new(1000), SimTime::ZERO);
         assert!(a.warm_hit);
-        let b = mgr.acquire("qa", Millicores::new(1000), SimTime::ZERO);
+        let b = mgr.acquire(QA, Millicores::new(1000), SimTime::ZERO);
         assert!(!b.warm_hit);
         assert_eq!(b.startup_delay, mgr.config().cold_start_delay);
         assert_eq!(mgr.cold_starts(), 1);
@@ -372,14 +353,14 @@ mod tests {
     #[test]
     fn idle_pods_are_recycled_after_timeout() {
         let mut mgr = pool(1);
-        let acq = mgr.acquire("od", Millicores::new(1000), SimTime::ZERO);
+        let acq = mgr.acquire(OD, Millicores::new(1000), SimTime::ZERO);
         mgr.release(acq.pod, SimTime::from_millis(0.0));
-        assert_eq!(mgr.warm_available("od"), 1);
+        assert_eq!(mgr.warm_available(OD), 1);
         let not_yet = mgr.recycle_idle(SimTime::from_secs(1.0));
         assert_eq!(not_yet, 0);
         let recycled = mgr.recycle_idle(SimTime::from_secs(200.0));
         assert_eq!(recycled, 1);
-        assert_eq!(mgr.warm_available("od"), 0);
+        assert_eq!(mgr.warm_available(OD), 0);
         assert_eq!(
             mgr.generic_available(),
             1,
@@ -388,9 +369,40 @@ mod tests {
     }
 
     #[test]
+    fn recycling_drops_expired_pods_and_keeps_each_queue_in_order() {
+        // No generic pool: every acquire is a cold start with a fresh id.
+        let mut mgr = pool(0);
+        let functions = [OD, QA, OD, QA, OD, OD];
+        let pods: Vec<PodId> = functions
+            .iter()
+            .map(|f| mgr.acquire(*f, Millicores::new(1000), SimTime::ZERO).pod)
+            .collect();
+        for (i, pod) in pods.iter().enumerate() {
+            mgr.release(*pod, SimTime::from_secs(10.0 * (i + 1) as f64));
+        }
+        // The window is 120 s: at 150 s the pods idle since 10, 20 and 30 s
+        // expire, the ones idle since 40 s and later survive.
+        assert_eq!(mgr.recycle_idle(SimTime::from_secs(150.0)), 3);
+        for pod in &pods[..3] {
+            assert!(mgr.pod(*pod).is_none(), "{pod} recycled");
+        }
+        assert_eq!(mgr.tracked_pods(), 3);
+        assert_eq!(mgr.warm_available(OD), 2);
+        assert_eq!(mgr.warm_available(QA), 1);
+        // Survivors are handed out in release order.
+        let now = SimTime::from_secs(151.0);
+        let od: Vec<PodId> = (0..2)
+            .map(|_| mgr.acquire(OD, Millicores::new(1000), now).pod)
+            .collect();
+        assert_eq!(od, vec![pods[4], pods[5]]);
+        assert_eq!(mgr.acquire(QA, Millicores::new(1000), now).pod, pods[3]);
+        assert_eq!(mgr.warm_hits(), 3);
+    }
+
+    #[test]
     fn lost_pods_are_dropped_from_every_tracking_structure() {
         let mut mgr = pool(2);
-        let running = mgr.acquire("od", Millicores::new(1000), SimTime::ZERO);
+        let running = mgr.acquire(OD, Millicores::new(1000), SimTime::ZERO);
         // One pod running, one generic; lose both plus an unknown id.
         let generic_id = PodId(mgr.total_pods() as u64 - 1);
         assert_ne!(running.pod, generic_id);
@@ -400,7 +412,7 @@ mod tests {
         assert_eq!(mgr.generic_available(), 0);
         // A release of a lost running pod is a safe no-op …
         mgr.release(running.pod, SimTime::from_millis(10.0));
-        assert_eq!(mgr.warm_available("od"), 0);
+        assert_eq!(mgr.warm_available(OD), 0);
         // … and recycling later never resurrects it.
         assert_eq!(mgr.recycle_idle(SimTime::from_secs(500.0)), 0);
         assert_eq!(mgr.tracked_pods(), 2, "refill provisions fresh pods only");
@@ -421,11 +433,11 @@ mod tests {
         assert_eq!(mgr.target_pool_size(), 5);
         assert_eq!(mgr.generic_available(), 5);
         // Shrink: surplus generic pods terminate, warm specialised pods stay.
-        let acq = mgr.acquire("od", Millicores::new(1000), SimTime::from_secs(2.0));
+        let acq = mgr.acquire(OD, Millicores::new(1000), SimTime::from_secs(2.0));
         mgr.release(acq.pod, SimTime::from_secs(2.5));
         mgr.set_target_pool_size(1, SimTime::from_secs(3.0));
         assert_eq!(mgr.generic_available(), 1);
-        assert_eq!(mgr.warm_available("od"), 1, "specialised pod untouched");
+        assert_eq!(mgr.warm_available(OD), 1, "specialised pod untouched");
         // Shrink-terminated generic pods are dropped from the tracking map:
         // retarget churn must not accumulate dead entries.
         assert_eq!(mgr.tracked_pods(), 2, "1 generic + 1 warm specialised");
