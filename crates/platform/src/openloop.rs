@@ -1065,8 +1065,10 @@ impl OpenLoopSimulation {
             .function(index)
             // janus-lint: allow(unwrap-discipline) — callers advance index only while < workflow.len()
             .expect("index within workflow");
-        // Function names are unique in a workflow: the position interns it.
-        let function_id = FunctionId::from_index(index);
+        // Function names are unique in a workflow, so the position interns
+        // the name; workflows hold a handful of functions, so the cast
+        // cannot truncate.
+        let function_id = FunctionId(index as u32);
         let acquisition = pool.acquire(function_id, size, now);
         let overcommitted = if cluster.node_of(acquisition.pod).is_some() {
             let _ = cluster.resize(acquisition.pod, size);

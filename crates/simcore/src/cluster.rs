@@ -439,11 +439,7 @@ impl Cluster {
 
     /// Book a pod the node at `idx` just accepted.
     fn placed(&mut self, idx: usize, pod: PodId, function: FunctionId) -> NodeId {
-        let zone = &mut self.zone_functions[self.node_zones[idx]];
-        if function.index() >= zone.len() {
-            zone.resize(function.index() + 1, 0);
-        }
-        zone[function.index()] += 1;
+        *function.slot(&mut self.zone_functions[self.node_zones[idx]]) += 1;
         let node_id = self.nodes[idx].id();
         self.pod_to_node.insert(pod, node_id);
         node_id

@@ -72,7 +72,7 @@ pub use time::{SimDuration, SimTime};
 /// removal leaves a tombstone and so when a table grows. No output depends
 /// on that, but the allocation counts `tests/perf_counters.rs` pins would:
 /// with a fixed hash they are the same in every process. Every key hashed
-/// is a dense pod, node or request id the program numbers itself, so
+/// is a pod or request id the program numbers itself, so
 /// collision-flooding protection buys nothing and [`IdHasher`] replaces
 /// SipHash with one multiply per key.
 pub type FixedState = std::hash::BuildHasherDefault<IdHasher>;
@@ -98,20 +98,8 @@ impl std::hash::Hasher for IdHasher {
         }
     }
 
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0 ^ n).wrapping_mul(Self::K);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
     }
 
     fn finish(&self) -> u64 {

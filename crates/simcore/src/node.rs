@@ -38,7 +38,7 @@ pub struct Node {
 }
 
 /// Book-keeping for one pod placed on a node.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct PodPlacement {
     function: FunctionId,
     allocation: Millicores,
@@ -139,11 +139,7 @@ impl Node {
             }
         }
         self.allocated += allocation;
-        let index = function.index();
-        if index >= self.per_function.len() {
-            self.per_function.resize(index + 1, 0);
-        }
-        self.per_function[index] += 1;
+        *function.slot(&mut self.per_function) += 1;
         Ok(())
     }
 

@@ -29,15 +29,18 @@ impl std::fmt::Display for PodId {
 pub struct FunctionId(pub u32);
 
 impl FunctionId {
-    /// The id of the function at `index` in its workflow.
-    pub fn from_index(index: usize) -> Self {
-        // Workflows hold a handful of functions; the cast cannot truncate.
-        FunctionId(index as u32)
-    }
-
     /// Position of the function in its workflow (the table index).
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// This function's entry in a table indexed by [`FunctionId`]; the
+    /// table grows with default entries the first time it meets the id.
+    pub(crate) fn slot<T: Default>(self, table: &mut Vec<T>) -> &mut T {
+        if self.index() >= table.len() {
+            table.resize_with(self.index() + 1, T::default);
+        }
+        &mut table[self.index()]
     }
 }
 

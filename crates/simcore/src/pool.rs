@@ -215,17 +215,8 @@ impl PoolManager {
         pod.finish();
         // A running pod was dispatched to a function, so this always holds.
         if let Some(function) = pod.function() {
-            self.warm_queue(function).push_back((pod, now));
+            function.slot(&mut self.warm).push_back((pod, now));
         }
-    }
-
-    /// The warm queue of `function`, created the first time it is needed.
-    fn warm_queue(&mut self, function: FunctionId) -> &mut VecDeque<(Pod, SimTime)> {
-        let index = function.index();
-        if index >= self.warm.len() {
-            self.warm.resize_with(index + 1, VecDeque::new);
-        }
-        &mut self.warm[index]
     }
 
     /// Recycle specialised pods idle for longer than the configured window
